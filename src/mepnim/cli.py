@@ -129,12 +129,15 @@ def _cmd_evolve(args, config) -> int:
     heaps = get("heaps", _parse_heaps, None)
     if heaps is None:
         raise UsageError("evolve requires --heaps")
-    mode = StateSpaceMode(get("state-space", str, "multiset"))
-    operators = OperatorConfig(
-        crossover_probability=get("crossover-prob", float, 0.9),
-        mutations_per_offspring=get("mutations", int, 2),
-        function_gene_probability=get("func-prob", float, 0.5),
-    )
+    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
+    try:
+        operators = OperatorConfig(
+            crossover_probability=get("crossover-prob", float, 0.9),
+            mutations_per_offspring=get("mutations", int, 2),
+            function_gene_probability=get("func-prob", float, 0.5),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     run_config = EvolutionConfig(
         heaps=heaps,
         population_size=get("pop", int, 100),
@@ -193,7 +196,7 @@ def _cmd_fitness(args, config) -> int:
     heaps = get("heaps", _parse_heaps, None)
     if formula is None or heaps is None:
         raise UsageError("fitness requires --formula-file and --heaps")
-    mode = StateSpaceMode(get("state-space", str, "multiset"))
+    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
     chrom = _load_formula(formula)
     graph = build_graph(heaps, mode)
     try:
@@ -215,7 +218,7 @@ def _cmd_oracle(args, config) -> int:
     heaps = get("heaps", _parse_heaps, None)
     if heaps is None:
         raise UsageError("oracle requires --heaps")
-    mode = StateSpaceMode(get("state-space", str, "multiset"))
+    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
     graph = build_graph(heaps, mode)
     labels = retrograde_labels(graph)
     for state in graph.nodes:
@@ -229,7 +232,7 @@ def _cmd_verify(args, config) -> int:
     heaps = get("heaps", _parse_heaps, None)
     if formula is None or heaps is None:
         raise UsageError("verify requires --formula-file and --heaps")
-    mode = StateSpaceMode(get("state-space", str, "multiset"))
+    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
     chrom = _load_formula(formula)
     graph = build_graph(heaps, mode)
     try:
@@ -258,7 +261,7 @@ def _cmd_experiment(args, config) -> int:
     runs = get("runs", int, 50)
     master_seed = get("master-seed", int, 0)
     heaps = get("heaps", _parse_heaps, (4, 4, 4, 4))
-    mode = StateSpaceMode(get("state-space", str, "multiset"))
+    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
     out_path = Path(get("out", str, "results.csv"))
 
     try:
@@ -295,7 +298,7 @@ def _cmd_play(args, config) -> int:
     heaps = get("heaps", _parse_heaps, None)
     if formula is None or heaps is None:
         raise UsageError("play requires --formula-file and --heaps")
-    mode = StateSpaceMode(get("state-space", str, "multiset"))
+    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
     chrom = _load_formula(formula)
     start = canonicalize(heaps, mode)
     if max_heap_ref(chrom) >= len(start):

@@ -5,6 +5,10 @@ iteration selects two parents by independent binary tournaments, recombines
 them with the configured probability, mutates both offspring, and lets the
 better offspring replace the worst population member when strictly better.
 The run stops as soon as any individual reaches fitness 0.
+
+Each run keeps a fitness cache keyed on the chromosome's compiled program
+(`Program.key`): chromosomes that differ only in inactive genes, or that
+recur after selection and mutation, are scored once per run.
 """
 
 from __future__ import annotations
@@ -83,20 +87,29 @@ def evolve(config: EvolutionConfig) -> RunResult:
     pop_size = config.population_size
     length = config.chromosome_length
 
+    scores: dict[str, int | float] = {}
+
+    def score(chrom: Chromosome) -> int | float:
+        key = chrom.program.key
+        fit = scores.get(key)
+        if fit is None:
+            fit = scores[key] = graph_fitness(chrom, graph)[0]
+        return fit
+
     population = [
         random_chromosome(length, n_heaps, rng, ops.function_gene_probability)
         for _ in range(pop_size)
     ]
-    fitnesses = [graph_fitness(c, graph)[0] for c in population]
+    fitnesses = [score(c) for c in population]
 
-    best_idx = min(range(pop_size), key=fitnesses.__getitem__)
+    best_idx = fitnesses.index(min(fitnesses))
     best_chrom, best_fit = population[best_idx], fitnesses[best_idx]
     history = [best_fit]
 
     if best_fit == 0:
         return RunResult(True, best_chrom, best_fit, 0, tuple(history))
 
-    worst_idx = max(range(pop_size), key=fitnesses.__getitem__)
+    worst_idx = fitnesses.index(max(fitnesses))
     iterations = max(1, pop_size // 2)
     success_generation = None
 
@@ -110,14 +123,14 @@ def evolve(config: EvolutionConfig) -> RunResult:
                 o1, o2 = p1, p2
             o1 = mutate(o1, ops, n_heaps, rng)
             o2 = mutate(o2, ops, n_heaps, rng)
-            f1 = graph_fitness(o1, graph)[0]
-            f2 = graph_fitness(o2, graph)[0]
+            f1 = score(o1)
+            f2 = score(o2)
             best_offspring, offspring_fit = (o1, f1) if f1 <= f2 else (o2, f2)
 
             if offspring_fit < fitnesses[worst_idx]:
                 population[worst_idx] = best_offspring
                 fitnesses[worst_idx] = offspring_fit
-                worst_idx = max(range(pop_size), key=fitnesses.__getitem__)
+                worst_idx = fitnesses.index(max(fitnesses))
                 if offspring_fit < best_fit:
                     best_chrom, best_fit = best_offspring, offspring_fit
             if best_fit == 0:

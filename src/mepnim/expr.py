@@ -12,6 +12,8 @@ operators act on the 64-bit bit pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,11 +61,49 @@ class Gene:
     args: tuple[int, ...] = ()
 
 
+class Program(NamedTuple):
+    """A chromosome compiled for execution.
+
+    ``code`` holds one ``(opcode, x, y)`` instruction per active gene, in
+    gene order: a heap terminal carries its 0-based heap index in ``x``; an
+    operator carries the slots (indices into ``code``) of its arguments in
+    ``x`` and ``y``.  ``key`` encodes ``code`` as text, so two chromosomes
+    with equal keys compute the same function on every input.
+    """
+
+    max_heap_ref: int
+    active: tuple[int, ...]
+    code: tuple[tuple[int, int, int], ...]
+    key: str
+
+
+_FUNCTION_OPS = {sym: i for i, sym in enumerate(FUNCTIONS)}
+_NOT = _FUNCTION_OPS["not"]
+_N = len(FUNCTIONS)
+_HEAP = _N + 1
+
+
+@lru_cache(maxsize=1024)
+def _opcode(symbol: str) -> tuple[int, int]:
+    """(opcode, heap index) of a valid gene symbol; the index is -1 unless
+    the symbol is a heap terminal."""
+    if symbol in _FUNCTION_OPS:
+        return _FUNCTION_OPS[symbol], -1
+    if symbol == "n":
+        return _N, -1
+    return _HEAP, heap_ref(symbol)
+
+
 @dataclass(frozen=True)
 class Chromosome:
     """Immutable, validated gene sequence.  Raises ValueError on any
     structural violation (empty, non-terminal first gene, bad arity,
-    forward/self argument reference, unknown symbol)."""
+    forward/self argument reference, unknown symbol).
+
+    Validation happens here and in `parse_chromosome`, where genes come
+    from outside.  The variation operators build their offspring through
+    `_trusted`, which skips it.
+    """
 
     genes: tuple[Gene, ...]
 
@@ -88,27 +128,80 @@ class Chromosome:
             else:
                 raise ValueError(f"gene {pos + 1}: unknown symbol {gene.symbol!r}")
 
+    @classmethod
+    def _trusted(cls, genes: tuple[Gene, ...]) -> Chromosome:
+        """Build without validation, for callers whose genes already keep
+        every invariant the public constructor checks."""
+        chrom = object.__new__(cls)
+        object.__setattr__(chrom, "genes", genes)
+        return chrom
+
+    @property
+    def program(self) -> Program:
+        """The compiled form, computed on first use and kept on the
+        instance outside the dataclass fields, so ``==``, ``hash`` and
+        ``repr`` do not see it."""
+        program = self.__dict__.get("_program")
+        if program is None:
+            program = _compile(self.genes)
+            object.__setattr__(self, "_program", program)
+        return program
+
     def __len__(self) -> int:
         return len(self.genes)
 
 
+def _compile(genes: tuple[Gene, ...]) -> Program:
+    # one backward sweep marks the active genes (arguments always point
+    # backward) and finds the largest heap reference over all genes
+    last = len(genes) - 1
+    needed = [False] * last + [True]
+    max_ref = -1
+    for pos in range(last, -1, -1):
+        gene = genes[pos]
+        if gene.args:
+            if needed[pos]:
+                for a in gene.args:
+                    needed[a] = True
+        else:
+            ref = _opcode(gene.symbol)[1]
+            if ref > max_ref:
+                max_ref = ref
+
+    slot = [0] * (last + 1)
+    active = []
+    code = []
+    tokens = []
+    for pos in range(last + 1):
+        if not needed[pos]:
+            continue
+        slot[pos] = len(code)
+        active.append(pos)
+        gene = genes[pos]
+        args = gene.args
+        if not args:
+            op, ref = _opcode(gene.symbol)
+            code.append((op, ref, 0))
+            tokens.append(gene.symbol)
+        elif len(args) == 1:
+            x = slot[args[0]]
+            code.append((_NOT, x, 0))
+            tokens.append(f"not {x}")
+        else:
+            x, y = slot[args[0]], slot[args[1]]
+            code.append((_opcode(gene.symbol)[0], x, y))
+            tokens.append(f"{gene.symbol} {x} {y}")
+    return Program(max_ref, tuple(active), tuple(code), ";".join(tokens))
+
+
 def max_heap_ref(chrom: Chromosome) -> int:
     """Largest 0-based heap index referenced, or -1 if none."""
-    refs = [heap_ref(g.symbol) for g in chrom.genes]
-    return max((r for r in refs if r is not None), default=-1)
+    return chrom.program.max_heap_ref
 
 
 def active_positions(chrom: Chromosome) -> list[int]:
     """Positions that feed the last gene's expression, ascending."""
-    needed: set[int] = set()
-    stack = [len(chrom.genes) - 1]
-    while stack:
-        pos = stack.pop()
-        if pos in needed:
-            continue
-        needed.add(pos)
-        stack.extend(chrom.genes[pos].args)
-    return sorted(needed)
+    return list(chrom.program.active)
 
 
 def _wrap(x: int) -> int:
@@ -128,16 +221,22 @@ def _trunc_mod(a: int, b: int) -> int:
     return _wrap(a - _wrap(_trunc_div(a, b) * b))
 
 
-_BINARY = {
-    "+": lambda a, b: _wrap(a + b),
-    "-": lambda a, b: _wrap(a - b),
-    "*": lambda a, b: _wrap(a * b),
-    "div": _trunc_div,
-    "mod": _trunc_mod,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-}
+# scalar operators, indexed by opcode (the order of FUNCTIONS)
+_BINARY = (
+    lambda a, b: _wrap(a + b),
+    lambda a, b: _wrap(a - b),
+    lambda a, b: _wrap(a * b),
+    _trunc_div,
+    _trunc_mod,
+    lambda a, b: a & b,
+    lambda a, b: a | b,
+    lambda a, b: a ^ b,
+)
+
+
+def _check_heap_refs(program: Program, n: int) -> None:
+    if program.max_heap_ref >= n:
+        raise ValueError(f"chromosome references heap a{program.max_heap_ref + 1} but game has {n} heaps")
 
 
 def evaluate(chrom: Chromosome, state, n: int | None = None) -> int:
@@ -153,19 +252,20 @@ def evaluate(chrom: Chromosome, state, n: int | None = None) -> int:
         n = len(heaps)
     elif n != len(heaps):
         raise ValueError(f"state has {len(heaps)} heaps, expected {n}")
-    if max_heap_ref(chrom) >= n:
-        raise ValueError(f"chromosome references heap a{max_heap_ref(chrom) + 1} but game has {n} heaps")
+    program = chrom.program
+    _check_heap_refs(program, n)
 
-    values: dict[int, int] = {}
-    for pos in active_positions(chrom):
-        gene = chrom.genes[pos]
-        if not gene.args:
-            values[pos] = n if gene.symbol == "n" else _wrap(heaps[heap_ref(gene.symbol)])
-        elif gene.symbol == "not":
-            values[pos] = ~values[gene.args[0]]
+    values: list[int] = []
+    for op, x, y in program.code:
+        if op == _HEAP:
+            values.append(_wrap(heaps[x]))
+        elif op == _N:
+            values.append(n)
+        elif op == _NOT:
+            values.append(~values[x])
         else:
-            values[pos] = _BINARY[gene.symbol](values[gene.args[0]], values[gene.args[1]])
-    return values[len(chrom.genes) - 1]
+            values.append(_BINARY[op](values[x], values[y]))
+    return values[-1]
 
 
 def _div_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,6 +292,19 @@ def _mod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a - _div_many(a, b) * b
 
 
+# vectorized operators, indexed by opcode (the order of FUNCTIONS)
+_BINARY_MANY = (
+    np.add,
+    np.subtract,
+    np.multiply,
+    _div_many,
+    _mod_many,
+    np.bitwise_and,
+    np.bitwise_or,
+    np.bitwise_xor,
+)
+
+
 def evaluate_many(chrom: Chromosome, heap_matrix: np.ndarray, n: int | None = None) -> np.ndarray:
     """Vectorized `evaluate` over a (states, heaps) int64 matrix.
 
@@ -200,39 +313,20 @@ def evaluate_many(chrom: Chromosome, heap_matrix: np.ndarray, n: int | None = No
     """
     if n is None:
         n = heap_matrix.shape[1]
-    if max_heap_ref(chrom) >= n:
-        raise ValueError(f"chromosome references heap a{max_heap_ref(chrom) + 1} but game has {n} heaps")
-    rows = heap_matrix.shape[0]
+    program = chrom.program
+    _check_heap_refs(program, n)
 
-    values: dict[int, np.ndarray] = {}
-    for pos in active_positions(chrom):
-        gene = chrom.genes[pos]
-        sym = gene.symbol
-        if not gene.args:
-            values[pos] = np.full(rows, n, dtype=np.int64) if sym == "n" else heap_matrix[:, heap_ref(sym)]
-            continue
-        a = values[gene.args[0]]
-        if sym == "not":
-            values[pos] = ~a
-            continue
-        b = values[gene.args[1]]
-        if sym == "+":
-            values[pos] = a + b
-        elif sym == "-":
-            values[pos] = a - b
-        elif sym == "*":
-            values[pos] = a * b
-        elif sym == "xor":
-            values[pos] = a ^ b
-        elif sym == "and":
-            values[pos] = a & b
-        elif sym == "or":
-            values[pos] = a | b
-        elif sym == "div":
-            values[pos] = _div_many(a, b)
+    values: list[np.ndarray] = []
+    for op, x, y in program.code:
+        if op == _HEAP:
+            values.append(heap_matrix[:, x])
+        elif op == _N:
+            values.append(np.full(heap_matrix.shape[0], n, dtype=np.int64))
+        elif op == _NOT:
+            values.append(~values[x])
         else:
-            values[pos] = _mod_many(a, b)
-    return values[len(chrom.genes) - 1]
+            values.append(_BINARY_MANY[op](values[x], values[y]))
+    return values[-1]
 
 
 def decode_infix(chrom: Chromosome) -> str:

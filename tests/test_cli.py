@@ -185,3 +185,39 @@ class TestPlay:
     def test_formula_heap_mismatch(self, xor_file, capsys):
         assert main(["play", "--formula-file", xor_file, "--heaps", "2,2"]) == 2
         assert "references heap a4" in capsys.readouterr().err
+
+
+class TestBadSettings:
+    """Each bad setting exits 2 with one `error:` line, never a traceback."""
+
+    @staticmethod
+    def assert_usage_error(code, capsys, *words):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in words)
+
+    @pytest.mark.parametrize("command,extra", [
+        ("evolve", []),
+        ("fitness", ["--formula-file"]),
+        ("oracle", []),
+        ("verify", ["--formula-file"]),
+        ("experiment", ["--name", "exp1"]),
+        ("play", ["--formula-file"]),
+    ])
+    def test_unknown_state_space_in_config(self, command, extra, xor_file, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("heaps = 2,2\nstate-space = foo\n")
+        args = [command, "--config", str(cfg), *extra]
+        if extra and extra[-1] == "--formula-file":
+            args.append(xor_file)
+        self.assert_usage_error(main(args), capsys, "state-space", "foo")
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--crossover-prob", "2", "crossover_probability"),
+        ("--mutations", "-1", "mutations_per_offspring"),
+        ("--func-prob", "1.5", "function_gene_probability"),
+    ])
+    def test_out_of_range_operator_setting(self, flag, value, field, tmp_path, capsys):
+        code = main(["evolve", "--heaps", "2,2", flag, value, "--out", str(tmp_path / "x.mep")])
+        self.assert_usage_error(code, capsys, field)
