@@ -21,10 +21,10 @@ from .expr import (
 )
 from .evolution import EvolutionConfig, RunResult, evolve, tournament_select
 from .experiments import SweepRow, SweepSpec, emit_csv, experiment_spec, run_sweep
-from .fitness import INVALID, FitnessBreakdown, Label, classify, graph_fitness
+from .fitness import INVALID, FitnessBreakdown, Label, graph_fitness
 from .game import GameGraph, StateSpaceMode, build_graph, canonicalize, children, is_terminal, moves
 from .genetics import OperatorConfig, crossover_one_point, mutate, random_chromosome
-from .oracle import VerifyResult, bouton_label, retrograde_labels, verify_formula
+from .oracle import VerifyResult, bouton_label, retrograde_labels, retrograde_p_mask, verify_formula
 from .play import (
     MoveRecord,
     PlayedGame,

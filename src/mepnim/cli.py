@@ -56,8 +56,9 @@ def _parse_heaps(text: str) -> tuple[int, ...]:
     return heaps
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    """Flat `key = value` file mirroring flag names; '#' starts a comment."""
+def _load_config(path: str | None, keys: set[str]) -> dict[str, str]:
+    """Flat `key = value` file; '#' starts a comment.  Each key must be one
+    of `keys`, the flag names of all subcommands, so one file can serve several."""
     if path is None:
         return {}
     config: dict[str, str] = {}
@@ -72,7 +73,10 @@ def _load_config(path: str | None) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"config line {line_no}: expected 'key = value'")
-        config[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in keys:
+            raise UsageError(f"config line {line_no}: unknown key {key!r}")
+        config[key] = value.strip()
     return config
 
 
@@ -112,6 +116,16 @@ def _load_formula(path: str) -> Chromosome:
         return parse_chromosome(text)
     except ParseError as exc:
         raise UsageError(f"{path}: {exc}") from None
+
+
+def _formula_game(get, command: str):
+    """The formula, heaps and state-space mode that fitness, verify and play require."""
+    formula = get("formula-file", str, None)
+    heaps = get("heaps", _parse_heaps, None)
+    if formula is None or heaps is None:
+        raise UsageError(f"{command} requires --formula-file and --heaps")
+    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
+    return _load_formula(formula), heaps, mode
 
 
 def _state_text(state) -> str:
@@ -192,12 +206,7 @@ def _cmd_evolve(args, config) -> int:
 
 def _cmd_fitness(args, config) -> int:
     get = _resolver(args, config)
-    formula = get("formula-file", str, None)
-    heaps = get("heaps", _parse_heaps, None)
-    if formula is None or heaps is None:
-        raise UsageError("fitness requires --formula-file and --heaps")
-    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
-    chrom = _load_formula(formula)
+    chrom, heaps, mode = _formula_game(get, "fitness")
     graph = build_graph(heaps, mode)
     try:
         total, breakdown = graph_fitness(chrom, graph)
@@ -228,12 +237,7 @@ def _cmd_oracle(args, config) -> int:
 
 def _cmd_verify(args, config) -> int:
     get = _resolver(args, config)
-    formula = get("formula-file", str, None)
-    heaps = get("heaps", _parse_heaps, None)
-    if formula is None or heaps is None:
-        raise UsageError("verify requires --formula-file and --heaps")
-    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
-    chrom = _load_formula(formula)
+    chrom, heaps, mode = _formula_game(get, "verify")
     graph = build_graph(heaps, mode)
     try:
         result = verify_formula(chrom, graph)
@@ -294,12 +298,7 @@ def _cmd_experiment(args, config) -> int:
 
 def _cmd_play(args, config) -> int:
     get = _resolver(args, config)
-    formula = get("formula-file", str, None)
-    heaps = get("heaps", _parse_heaps, None)
-    if formula is None or heaps is None:
-        raise UsageError("play requires --formula-file and --heaps")
-    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
-    chrom = _load_formula(formula)
+    chrom, heaps, mode = _formula_game(get, "play")
     start = canonicalize(heaps, mode)
     if max_heap_ref(chrom) >= len(start):
         raise UsageError(
@@ -396,11 +395,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_names(parser: argparse.ArgumentParser) -> set[str]:
+    """Every `--name` flag of every subcommand, without the dashes."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = (o for command in sub.choices.values() for a in command._actions for o in a.option_strings)
+    return {o[2:] for o in options if o.startswith("--")}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = _load_config(args.config, _flag_names(parser))
         return args.func(args, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .expr import Chromosome, EvalError, evaluate, evaluate_many
-from .game import GameGraph, GameState
+from .expr import Chromosome, EvalError, evaluate_many
+from .game import GameGraph
 
 #: Fitness of a formula that divides by zero somewhere on the graph.
 #: Compares strictly worse than every violation count.
@@ -42,12 +42,6 @@ class FitnessBreakdown:
         return self.rule_i + self.rule_ii + self.rule_iii
 
 
-def classify(chrom: Chromosome, state: GameState, n: int | None = None) -> Label:
-    """P when the formula evaluates to 0 on the state, N otherwise.
-    Propagates EvalError from evaluation."""
-    return Label.P if evaluate(chrom, state, n) == 0 else Label.N
-
-
 def graph_fitness(chrom: Chromosome, graph: GameGraph) -> tuple[int | float, FitnessBreakdown | None]:
     """Total violation count and its per-rule breakdown over the graph.
 
@@ -61,11 +55,11 @@ def graph_fitness(chrom: Chromosome, graph: GameGraph) -> tuple[int | float, Fit
         return INVALID, None
 
     p = values == 0
-    rule_i = int(np.count_nonzero(p[graph.edge_src] & p[graph.edge_dst]))
+    p_dst = p[graph.edge_dst]
+    rule_i = int(np.count_nonzero(p[graph.edge_src] & p_dst))
 
-    has_p_child = (
-        np.bincount(graph.edge_src, weights=p[graph.edge_dst], minlength=graph.num_nodes) > 0
-    )
+    has_p_child = np.zeros(graph.num_nodes, dtype=bool)
+    has_p_child[graph.edge_src[p_dst]] = True
     rule_ii = int(np.count_nonzero(~p & ~graph.terminal_mask & ~has_p_child))
     rule_iii = int(np.count_nonzero(~p & graph.terminal_mask))
 

@@ -47,18 +47,12 @@ def children(state: GameState, mode: StateSpaceMode) -> list[GameState]:
                 for rem in range(c - 1, -1, -1):
                     out.append(pre + (rem,) + post)
         return out
-    seen = set()
-    out = []
+    unique = set()
     for i, c in enumerate(state):
-        if c:
+        if c and c not in state[:i]:  # equal heaps give equal children
             rest = state[:i] + state[i + 1 :]
-            for rem in range(c - 1, -1, -1):
-                child = tuple(sorted(rest + (rem,), reverse=True))
-                if child not in seen:
-                    seen.add(child)
-                    out.append(child)
-    out.sort(reverse=True)
-    return out
+            unique.update(tuple(sorted(rest + (rem,), reverse=True)) for rem in range(c))
+    return sorted(unique, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -72,20 +66,19 @@ class Move:
 
 
 def moves(state: GameState, mode: StateSpaceMode) -> tuple[Move, ...]:
-    """Legal moves with their resulting states, one per unique child, in the
-    same child order as `children`.  In multiset mode the representative
-    (heap, take) for a child is the first in (heap, take) order."""
-    raw = []
-    for i, c in enumerate(state):
-        for take in range(1, c + 1):
-            child = canonicalize(state[:i] + (c - take,) + state[i + 1 :], mode)
-            raw.append(Move(i + 1, take, child))
-    if mode is StateSpaceMode.MULTISET:
-        first: dict[GameState, Move] = {}
-        for m in raw:
-            first.setdefault(m.child, m)
-        return tuple(sorted(first.values(), key=lambda m: m.child, reverse=True))
-    return tuple(raw)
+    """Legal moves with their resulting states, one per child of `children`
+    and in its order.  Each carries the first (heap, take) pair, in
+    (heap, take) order, that reaches its child: in tuple mode the one heap
+    that differs, in multiset mode the first heap holding the size that
+    shrank, which is the size at the first position where the two sorted
+    tuples differ."""
+    out = []
+    for child in children(state, mode):
+        k = next(i for i, (a, b) in enumerate(zip(state, child)) if a != b)
+        if mode is StateSpaceMode.MULTISET:
+            k = state.index(state[k])
+        out.append(Move(k + 1, sum(state) - sum(child), child))
+    return tuple(out)
 
 
 class GameGraph:
@@ -93,26 +86,21 @@ class GameGraph:
 
     Built once by `build_graph`, then immutable; safe to share across
     threads.  Nodes are listed in breadth-first discovery order from the
-    root; edges always strictly decrease the total object count.
+    root and are referred to by their index in that order; edge k leads
+    from node ``edge_src[k]`` to node ``edge_dst[k]``, grouped by source in
+    node order and, per source, in `children` order.  Edges always strictly
+    decrease the total object count.
     """
 
-    def __init__(self, root: GameState, mode: StateSpaceMode, nodes: list[GameState], child_ids: list[tuple[int, ...]]):
+    def __init__(self, root: GameState, mode: StateSpaceMode, nodes: list[GameState], edge_src: list[int], edge_dst: list[int]):
         self.root = root
         self.mode = mode
         self.nodes: tuple[GameState, ...] = tuple(nodes)
-        self.child_ids: tuple[tuple[int, ...], ...] = tuple(child_ids)
-        self.index: dict[GameState, int] = {s: i for i, s in enumerate(self.nodes)}
         self.n_heaps = len(root)
-
         self.heap_matrix = np.array(self.nodes, dtype=np.int64).reshape(len(self.nodes), self.n_heaps)
-        src: list[int] = []
-        dst: list[int] = []
-        for i, kids in enumerate(self.child_ids):
-            src.extend([i] * len(kids))
-            dst.extend(kids)
-        self.edge_src = np.array(src, dtype=np.int64)
-        self.edge_dst = np.array(dst, dtype=np.int64)
-        self.terminal_mask = np.array([is_terminal(s) for s in self.nodes], dtype=bool)
+        self.edge_src = np.array(edge_src, dtype=np.int64)
+        self.edge_dst = np.array(edge_dst, dtype=np.int64)
+        self.terminal_mask = ~self.heap_matrix.any(axis=1)
 
     @property
     def num_nodes(self) -> int:
@@ -122,12 +110,6 @@ class GameGraph:
     def num_edges(self) -> int:
         return len(self.edge_src)
 
-    def children_of(self, state: GameState) -> tuple[GameState, ...]:
-        return tuple(self.nodes[j] for j in self.child_ids[self.index[state]])
-
-    def __contains__(self, state: GameState) -> bool:
-        return state in self.index
-
 
 def build_graph(root, mode: StateSpaceMode) -> GameGraph:
     """Breadth-first closure of `children` from the canonicalized root, with
@@ -135,19 +117,18 @@ def build_graph(root, mode: StateSpaceMode) -> GameGraph:
     start = canonicalize(root, mode)
     nodes: list[GameState] = [start]
     index: dict[GameState, int] = {start: 0}
-    child_ids: list[tuple[int, ...]] = []
+    edge_src: list[int] = []
+    edge_dst: list[int] = []
 
     cursor = 0
     while cursor < len(nodes):
-        state = nodes[cursor]
-        ids = []
-        for child in children(state, mode):
+        for child in children(nodes[cursor], mode):
             j = index.get(child)
             if j is None:
                 j = len(nodes)
                 index[child] = j
                 nodes.append(child)
-            ids.append(j)
-        child_ids.append(tuple(ids))
+            edge_src.append(cursor)
+            edge_dst.append(j)
         cursor += 1
-    return GameGraph(start, mode, nodes, child_ids)
+    return GameGraph(start, mode, nodes, edge_src, edge_dst)

@@ -31,8 +31,7 @@ def formula_classifier(chrom: Chromosome, n_heaps: int) -> Classifier:
 
 def oracle_classifier(graph: GameGraph) -> Classifier:
     """Lookup into the retrograde labeling; only valid inside the graph."""
-    labels = retrograde_labels(graph)
-    return labels.__getitem__
+    return retrograde_labels(graph).__getitem__
 
 
 def best_move(classifier: Classifier, state: GameState, mode: StateSpaceMode) -> GameState:
@@ -123,7 +122,8 @@ def interactive_session(classifier: Classifier, start, mode: StateSpaceMode, std
         if is_terminal(state):
             say("you take the last object - you win")
             return
-        chosen = next(m for m in moves(state, mode) if m.child == best_move(classifier, state, mode))
+        chosen_child = best_move(classifier, state, mode)
+        chosen = next(m for m in moves(state, mode) if m.child == chosen_child)
         state = chosen.child
         say(str(MoveRecord(2, chosen.heap, chosen.take, state)))
         if is_terminal(state):

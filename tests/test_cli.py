@@ -221,3 +221,16 @@ class TestBadSettings:
     def test_out_of_range_operator_setting(self, flag, value, field, tmp_path, capsys):
         code = main(["evolve", "--heaps", "2,2", flag, value, "--out", str(tmp_path / "x.mep")])
         self.assert_usage_error(code, capsys, field)
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("heaps = 2,2\npopp = 7\n")
+        code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.mep")])
+        self.assert_usage_error(code, capsys, "line 2", "popp")
+
+    def test_key_of_another_subcommand_is_accepted(self, xor_file, tmp_path, capsys):
+        # one file can serve both evolve and verify
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(f"heaps = 4,4,4,4\npop = 7\nformula-file = {xor_file}\n")
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert "agrees" in capsys.readouterr().out

@@ -4,10 +4,11 @@ import pytest
 
 from conftest import chrom, worked_example, xor3_minus_a4, xor_chain
 from mepnim.expr import Chromosome, Gene
-from mepnim.fitness import INVALID, Label, classify, graph_fitness
+from mepnim.fitness import INVALID, Label, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph
 from mepnim.genetics import random_chromosome
 from mepnim.oracle import verify_formula
+from mepnim.play import formula_classifier
 
 MULTISET = StateSpaceMode.MULTISET
 TUPLE = StateSpaceMode.TUPLE
@@ -23,14 +24,14 @@ def graph_4444():
     return build_graph((4, 4, 4, 4), MULTISET)
 
 
-class TestClassify:
+class TestFormulaClassifier:
     def test_worked_example_labels(self):
-        c = worked_example()
-        assert classify(c, (2, 1)) is Label.P
-        assert classify(c, (2, 0)) is Label.N
+        classify = formula_classifier(worked_example(), 2)
+        assert classify((2, 1)) is Label.P
+        assert classify((2, 0)) is Label.N
 
     def test_constant_heap_count_is_n_everywhere(self):
-        assert classify(chrom("n"), (0, 0, 0, 0)) is Label.N
+        assert formula_classifier(chrom("n"), 4)((0, 0, 0, 0)) is Label.N
 
 
 class TestGraphFitness:

@@ -95,6 +95,21 @@ def test_moves_agree_with_children_order():
             assert [m.child for m in moves(state, mode)] == children(state, mode)
 
 
+def test_move_is_first_heap_take_pair_reaching_its_child():
+    # the (heap, take) that `mepnim play` prints for each move
+    rng = random.Random(16)
+    for _ in range(300):
+        for mode in (MULTISET, TUPLE):
+            state = random_state(rng, mode)
+            first = {}
+            for i, c in enumerate(state):
+                for take in range(1, c + 1):
+                    child = canonicalize(state[:i] + (c - take,) + state[i + 1 :], mode)
+                    first.setdefault(child, (i + 1, take))
+            for m in moves(state, mode):
+                assert (m.heap, m.take) == first[m.child], (mode, state, m)
+
+
 def test_moves_are_legal():
     state = (3, 1)
     for m in moves(state, TUPLE):
@@ -133,11 +148,12 @@ class TestBuildGraph:
         for _ in range(20):
             for mode in (MULTISET, TUPLE):
                 graph = build_graph(random_state(rng, mode), mode)
-                for i, kids in enumerate(graph.child_ids):
-                    if not is_terminal(graph.nodes[i]):
-                        assert kids, "non-terminal node must have children"
-                    for j in kids:
-                        assert sum(graph.nodes[j]) < sum(graph.nodes[i])
+                sources = set(graph.edge_src.tolist())
+                for i, state in enumerate(graph.nodes):
+                    if not is_terminal(state):
+                        assert i in sources, "non-terminal node must have children"
+                for i, j in zip(graph.edge_src.tolist(), graph.edge_dst.tolist()):
+                    assert sum(graph.nodes[j]) < sum(graph.nodes[i])
 
     def test_exactly_one_terminal_reachable(self):
         rng = random.Random(15)
@@ -147,14 +163,9 @@ class TestBuildGraph:
                 terminals = [s for s in graph.nodes if is_terminal(s)]
                 assert len(terminals) == 1
 
-    def test_children_of_lookup(self):
-        graph = build_graph((2, 1), TUPLE)
-        assert graph.children_of((2, 1)) == ((1, 1), (0, 1), (2, 0))
-        assert (1, 1) in graph
-        assert (9, 9) not in graph
-
     def test_determinism(self):
         a = build_graph((3, 2, 1), MULTISET)
         b = build_graph((3, 2, 1), MULTISET)
         assert a.nodes == b.nodes
-        assert a.child_ids == b.child_ids
+        assert a.edge_src.tolist() == b.edge_src.tolist()
+        assert a.edge_dst.tolist() == b.edge_dst.tolist()

@@ -1,13 +1,16 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chrom, worked_example, xor3_minus_a4, xor_chain
 from mepnim.fitness import Label, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph, is_terminal
 from mepnim.genetics import random_chromosome
-from mepnim.oracle import bouton_label, retrograde_labels, verify_formula
+from mepnim.oracle import bouton_label, retrograde_labels, retrograde_p_mask, verify_formula
 
 MULTISET = StateSpaceMode.MULTISET
 TUPLE = StateSpaceMode.TUPLE
@@ -65,7 +68,7 @@ def test_rule_satisfying_labeling_is_unique():
 
     def violates(assignment):
         for i, state in enumerate(nodes):
-            kids = graph.child_ids[i]
+            kids = graph.edge_dst[graph.edge_src == i].tolist()
             if is_terminal(state):
                 if not assignment[i]:
                     return True  # terminal labeled N
@@ -95,7 +98,7 @@ class TestVerifyFormula:
         # compared against EXPECTED_21 the mismatches are (2,1) and (0,1)
         result = verify_formula(worked_example(), build_graph((2, 1), TUPLE))
         assert not result.agrees
-        assert set(result.disagreements) == {(2, 1), (0, 1)}
+        assert result.disagreements == ((2, 1), (0, 1))  # node order
 
     def test_two_heap_xor_everywhere(self):
         rng = random.Random(3)
@@ -115,3 +118,21 @@ class TestVerifyFormula:
         for _ in range(100):
             c = random_chromosome(10, 2, rng)
             assert verify_formula(c, graph).agrees == (graph_fitness(c, graph)[0] == 0)
+
+
+@st.composite
+def small_roots(draw):
+    mode = draw(st.sampled_from([MULTISET, TUPLE]))
+    root = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    return mode, tuple(root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_roots())
+def test_retrograde_mask_equals_xor_rule(case):
+    # Bouton (1901): a Nim position is P exactly when its heaps xor to 0
+    mode, root = case
+    graph = build_graph(root, mode)
+    mask = retrograde_p_mask(graph)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, np.bitwise_xor.reduce(graph.heap_matrix, axis=1) == 0)
