@@ -23,6 +23,46 @@ def worked_file(tmp_path):
     return str(path)
 
 
+TABLE_322_TUPLE = """\
+(3, 2, 2): N
+(2, 2, 2): N
+(1, 2, 2): N
+(0, 2, 2): P
+(3, 1, 2): P
+(3, 0, 2): N
+(3, 2, 1): P
+(3, 2, 0): N
+(2, 1, 2): N
+(2, 0, 2): P
+(2, 2, 1): N
+(2, 2, 0): P
+(1, 1, 2): N
+(1, 0, 2): N
+(1, 2, 1): N
+(1, 2, 0): N
+(0, 1, 2): N
+(0, 0, 2): N
+(0, 2, 1): N
+(0, 2, 0): N
+(3, 1, 1): N
+(3, 1, 0): N
+(3, 0, 1): N
+(3, 0, 0): N
+(2, 1, 1): N
+(2, 1, 0): N
+(2, 0, 1): N
+(2, 0, 0): N
+(1, 1, 1): N
+(1, 1, 0): P
+(1, 0, 1): P
+(1, 0, 0): N
+(0, 1, 1): P
+(0, 1, 0): N
+(0, 0, 1): N
+(0, 0, 0): P
+"""
+
+
 class TestOracle:
     def test_table_for_21_tuple(self, capsys):
         assert main(["oracle", "--heaps", "2,1", "--state-space", "tuple"]) == 0
@@ -30,6 +70,11 @@ class TestOracle:
         assert len(lines) == 6
         assert "(2, 1): N" in lines
         assert "(0, 0): P" in lines
+
+    def test_full_table_for_322_tuple_in_bfs_order(self, capsys):
+        # the rows come in breadth-first discovery order from the root
+        assert main(["oracle", "--heaps", "3,2,2", "--state-space", "tuple"]) == 0
+        assert capsys.readouterr().out == TABLE_322_TUPLE
 
     def test_multiset_table_merges_permutations(self, capsys):
         assert main(["oracle", "--heaps", "2,1"]) == 0

@@ -2,7 +2,10 @@ import math
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mepnim.game import (
     StateSpaceMode,
@@ -169,3 +172,35 @@ class TestBuildGraph:
         assert a.nodes == b.nodes
         assert a.edge_src.tolist() == b.edge_src.tolist()
         assert a.edge_dst.tolist() == b.edge_dst.tolist()
+
+
+def reference_bfs(root, mode):
+    """Breadth-first closure of `children` from the root: nodes in discovery
+    order, edges grouped by source in node order and per source in
+    `children` order.  The slow reference for `build_graph`."""
+    start = canonicalize(root, mode)
+    nodes, index, src, dst = [start], {start: 0}, [], []
+    for i, state in enumerate(nodes):  # grows while iterated
+        for child in children(state, mode):
+            if child not in index:
+                index[child] = len(nodes)
+                nodes.append(child)
+            src.append(i)
+            dst.append(index[child])
+    return nodes, src, dst
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=0, max_size=6))
+@example([]).via("no heaps")
+@example([0, 0, 0]).via("all-zero root")
+@example([4, 0, 3, 0, 1, 4]).via("zero heaps between")
+def test_tuple_graph_equals_reference_bfs(root):
+    graph = build_graph(root, TUPLE)
+    nodes, src, dst = reference_bfs(root, TUPLE)
+    assert graph.nodes == tuple(nodes)
+    assert graph.heap_matrix.dtype == np.int64
+    assert graph.heap_matrix.shape == (len(nodes), len(root))
+    assert graph.heap_matrix.tolist() == [list(s) for s in nodes]
+    assert graph.edge_src.tolist() == src
+    assert graph.edge_dst.tolist() == dst
