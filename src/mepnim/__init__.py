@@ -22,7 +22,16 @@ from .expr import (
 from .evolution import EvolutionConfig, RunResult, evolve, tournament_select
 from .experiments import SweepRow, SweepSpec, emit_csv, experiment_spec, run_sweep
 from .fitness import INVALID, FitnessBreakdown, Label, graph_fitness
-from .game import GameGraph, StateSpaceMode, build_graph, canonicalize, children, is_terminal, moves
+from .game import (
+    GameGraph,
+    StateSpaceMode,
+    build_graph,
+    canonicalize,
+    children,
+    is_terminal,
+    moves,
+    state_count,
+)
 from .genetics import OperatorConfig, crossover_one_point, mutate, random_chromosome
 from .oracle import VerifyResult, bouton_label, retrograde_labels, retrograde_p_mask, verify_formula
 from .play import (

@@ -24,7 +24,7 @@ from .expr import (
     parse_chromosome,
 )
 from .fitness import INVALID, graph_fitness
-from .game import StateSpaceMode, build_graph, canonicalize
+from .game import StateSpaceMode, build_graph, canonicalize, state_count
 from .genetics import OperatorConfig
 from .oracle import retrograde_labels, verify_formula
 from .play import (
@@ -40,6 +40,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_VERIFY_FAILED = 4
+
+DEFAULT_MAX_STATES = 1_000_000
 
 
 class UsageError(Exception):
@@ -118,6 +120,30 @@ def _load_formula(path: str) -> Chromosome:
         raise UsageError(f"{path}: {exc}") from None
 
 
+def _check_size(get, heaps, mode: StateSpaceMode) -> None:
+    """Refuse a game with more states than --max-states before anything is
+    built.  Every game has at least 1 + sum(heaps) states, so that test
+    comes first and keeps `state_count`, whose multiset DP grows with
+    sum(heaps), cheap."""
+    limit = get("max-states", int, DEFAULT_MAX_STATES)
+    if limit < 1:
+        raise UsageError("--max-states must be >= 1")
+    if sum(heaps) >= limit:
+        count = f"at least {sum(heaps) + 1}"
+    else:
+        count = state_count(heaps, mode)
+        if count <= limit:
+            return
+    raise UsageError(
+        f"heaps {','.join(str(h) for h in heaps)} give {count} {mode.value} states, more than --max-states {limit}"
+    )
+
+
+def _build(get, heaps, mode: StateSpaceMode):
+    _check_size(get, heaps, mode)
+    return build_graph(heaps, mode)
+
+
 def _formula_game(get, command: str):
     """The formula, heaps and state-space mode that fitness, verify and play require."""
     formula = get("formula-file", str, None)
@@ -162,6 +188,7 @@ def _cmd_evolve(args, config) -> int:
         mode=mode,
     )
     out_path = Path(get("out", str, "best.mep"))
+    _check_size(get, heaps, mode)
 
     try:
         result = evolve(run_config)
@@ -207,7 +234,7 @@ def _cmd_evolve(args, config) -> int:
 def _cmd_fitness(args, config) -> int:
     get = _resolver(args, config)
     chrom, heaps, mode = _formula_game(get, "fitness")
-    graph = build_graph(heaps, mode)
+    graph = _build(get, heaps, mode)
     try:
         total, breakdown = graph_fitness(chrom, graph)
     except ValueError as exc:
@@ -228,7 +255,7 @@ def _cmd_oracle(args, config) -> int:
     if heaps is None:
         raise UsageError("oracle requires --heaps")
     mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
-    graph = build_graph(heaps, mode)
+    graph = _build(get, heaps, mode)
     labels = retrograde_labels(graph)
     for state in graph.nodes:
         print(f"{_state_text(state)}: {labels[state].value}")
@@ -238,7 +265,7 @@ def _cmd_oracle(args, config) -> int:
 def _cmd_verify(args, config) -> int:
     get = _resolver(args, config)
     chrom, heaps, mode = _formula_game(get, "verify")
-    graph = build_graph(heaps, mode)
+    graph = _build(get, heaps, mode)
     try:
         result = verify_formula(chrom, graph)
     except ValueError as exc:
@@ -272,6 +299,7 @@ def _cmd_experiment(args, config) -> int:
         spec = experiment_spec(name, EvolutionConfig(heaps=heaps, mode=mode), runs_per_value=runs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _check_size(get, heaps, mode)
 
     table = run_sweep(spec, master_seed)
     csv_text = emit_csv(table)
@@ -320,7 +348,7 @@ def _cmd_play(args, config) -> int:
     if opponent_kind == "random":
         opponent = random_strategy(random.Random(seed), mode)
     elif opponent_kind == "oracle":
-        opponent = classifier_strategy(oracle_classifier(build_graph(start, mode)), mode)
+        opponent = classifier_strategy(oracle_classifier(_build(get, start, mode)), mode)
     else:
         raise UsageError(f"unknown opponent {opponent_kind!r}; expected random or oracle")
 
@@ -348,6 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--heaps", help="comma-separated heap sizes, e.g. 4,4,4,4")
         p.add_argument("--state-space", choices=["multiset", "tuple"],
                        help="treat permuted heaps as one state (multiset, default) or keep order (tuple)")
+        p.add_argument("--max-states", type=int,
+                       help=f"refuse, before building it, a game with more states (default {DEFAULT_MAX_STATES})")
 
     p = sub.add_parser("evolve", help="search for a zero-violation formula")
     common(p)

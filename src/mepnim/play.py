@@ -15,7 +15,9 @@ from typing import Callable
 
 from .expr import Chromosome, evaluate
 from .fitness import Label
-from .game import GameGraph, GameState, StateSpaceMode, canonicalize, is_terminal, moves
+# `play` no longer calls `moves`, but perfbench/tracer.py wraps `play.moves`
+# by name, so the name stays importable from this module.
+from .game import GameGraph, GameState, StateSpaceMode, canonicalize, children, heap_take, is_terminal, moves
 from .oracle import retrograde_labels
 
 Classifier = Callable[[GameState], Label]
@@ -38,11 +40,11 @@ def best_move(classifier: Classifier, state: GameState, mode: StateSpaceMode) ->
     """First child the classifier labels P, else the first child."""
     if is_terminal(state):
         raise ValueError("no moves from the terminal state")
-    legal = moves(state, mode)
-    for move in legal:
-        if classifier(move.child) is Label.P:
-            return move.child
-    return legal[0].child
+    legal = children(state, mode)
+    for child in legal:
+        if classifier(child) is Label.P:
+            return child
+    return legal[0]
 
 
 def classifier_strategy(classifier: Classifier, mode: StateSpaceMode) -> Strategy:
@@ -50,7 +52,7 @@ def classifier_strategy(classifier: Classifier, mode: StateSpaceMode) -> Strateg
 
 
 def random_strategy(rng: random.Random, mode: StateSpaceMode) -> Strategy:
-    return lambda state: rng.choice(moves(state, mode)).child
+    return lambda state: rng.choice(children(state, mode))
 
 
 @dataclass(frozen=True)
@@ -82,11 +84,12 @@ def play_game(first: Strategy, second: Strategy, start, mode: StateSpaceMode) ->
     player = 1
     while not is_terminal(state):
         chosen = (first if player == 1 else second)(state)
-        move = next((m for m in moves(state, mode) if m.child == chosen), None)
-        if move is None:
-            raise ValueError(f"strategy for player {player} returned illegal state {chosen}")
-        transcript.append(MoveRecord(player, move.heap, move.take, move.child))
-        state = move.child
+        try:
+            heap, take = heap_take(state, chosen, mode)
+        except ValueError:
+            raise ValueError(f"strategy for player {player} returned illegal state {chosen}") from None
+        transcript.append(MoveRecord(player, heap, take, chosen))
+        state = chosen
         player = 3 - player
     # the last mover won; with a terminal start nobody moved and the
     # previous player (not the first mover) already holds the win
@@ -122,10 +125,10 @@ def interactive_session(classifier: Classifier, start, mode: StateSpaceMode, std
         if is_terminal(state):
             say("you take the last object - you win")
             return
-        chosen_child = best_move(classifier, state, mode)
-        chosen = next(m for m in moves(state, mode) if m.child == chosen_child)
-        state = chosen.child
-        say(str(MoveRecord(2, chosen.heap, chosen.take, state)))
+        chosen = best_move(classifier, state, mode)
+        heap, take = heap_take(state, chosen, mode)
+        state = chosen
+        say(str(MoveRecord(2, heap, take, state)))
         if is_terminal(state):
             say("machine takes the last object - machine wins")
             return

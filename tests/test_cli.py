@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -266,6 +267,48 @@ class TestBadSettings:
     def test_out_of_range_operator_setting(self, flag, value, field, tmp_path, capsys):
         code = main(["evolve", "--heaps", "2,2", flag, value, "--out", str(tmp_path / "x.mep")])
         self.assert_usage_error(code, capsys, field)
+
+    @pytest.mark.parametrize("command,extra", [
+        ("evolve", []),
+        ("fitness", ["--formula-file"]),
+        ("oracle", []),
+        ("verify", ["--formula-file"]),
+        ("experiment", ["--name", "exp1"]),
+        ("play", ["--vs", "oracle", "--formula-file"]),
+    ])
+    def test_game_above_max_states_refused_before_build(self, command, extra, xor_file, tmp_path, capsys):
+        # 31**5 = 28,629,151 states, far above the default limit of 10**6
+        args = [command, "--heaps", "30,30,30,30,30", "--state-space", "tuple", *extra]
+        if extra and extra[-1] == "--formula-file":
+            args.append(xor_file)
+        if command in ("evolve", "experiment"):
+            args += ["--out", str(tmp_path / "out")]
+        t0 = time.perf_counter()
+        code = main(args)
+        assert time.perf_counter() - t0 < 0.5
+        self.assert_usage_error(code, capsys, "28629151 tuple states", "--max-states 1000000")
+        assert list(tmp_path.iterdir()) == [tmp_path / "xor.mep"]
+
+    def test_max_states_is_the_largest_game_allowed(self, tmp_path, capsys):
+        # (2,1) tuple has 6 states
+        assert main(["oracle", "--heaps", "2,1", "--state-space", "tuple", "--max-states", "6"]) == 0
+        capsys.readouterr()
+        code = main(["oracle", "--heaps", "2,1", "--state-space", "tuple", "--max-states", "5"])
+        self.assert_usage_error(code, capsys, "6 tuple states", "--max-states 5")
+
+    def test_max_states_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("heaps = 4,4,4,4\nmax-states = 69\n")
+        self.assert_usage_error(main(["oracle", "--config", str(cfg)]), capsys, "70 multiset states")
+
+    def test_huge_multiset_heap_refused_without_counting(self, capsys):
+        t0 = time.perf_counter()
+        code = main(["oracle", "--heaps", "1000000000,3"])
+        assert time.perf_counter() - t0 < 0.5
+        self.assert_usage_error(code, capsys, "at least 1000000004 multiset states")
+
+    def test_max_states_below_one(self, capsys):
+        self.assert_usage_error(main(["oracle", "--heaps", "2,1", "--max-states", "0"]), capsys, "--max-states")
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"

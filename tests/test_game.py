@@ -14,6 +14,7 @@ from mepnim.game import (
     children,
     is_terminal,
     moves,
+    state_count,
 )
 
 MULTISET = StateSpaceMode.MULTISET
@@ -204,3 +205,15 @@ def test_tuple_graph_equals_reference_bfs(root):
     assert graph.heap_matrix.tolist() == [list(s) for s in nodes]
     assert graph.edge_src.tolist() == src
     assert graph.edge_dst.tolist() == dst
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=0, max_size=6), st.sampled_from([MULTISET, TUPLE]))
+def test_state_count_equals_built_node_count(root, mode):
+    assert state_count(root, mode) == build_graph(root, mode).num_nodes
+
+
+def test_state_count_of_games_too_large_to_build():
+    assert state_count((30,) * 5, TUPLE) == 31**5
+    # multisets of size 5 over {0..30}
+    assert state_count((30,) * 5, MULTISET) == math.comb(35, 5)
