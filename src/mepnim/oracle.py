@@ -21,6 +21,15 @@ from .fitness import Label
 from .game import GameGraph, GameState
 
 
+#: Largest edge-id buffer, in bytes, for which `retrograde_p_mask` sorts all
+#: the edges by level at once.  Below glibc's default mmap threshold
+#: (128 KiB) such buffers are recycled from the heap; a larger one may be
+#: mapped and paged in afresh on every call (two 4.6 MB buffers, about 40%
+#: of the labeling time, at 32,768 states), so larger graphs take one
+#: level's edges at a time instead.
+SORT_ALL_BYTES = 128 * 1024
+
+
 def retrograde_p_mask(graph: GameGraph) -> np.ndarray:
     """Boolean P-mask over node ids by backward induction: the terminal is
     P, a node with a P child is N, a node whose children are all N is P.
@@ -31,13 +40,38 @@ def retrograde_p_mask(graph: GameGraph) -> np.ndarray:
     final before a parent reads it.
     """
     levels = graph.heap_matrix.sum(axis=1)
-    # the narrowest unsigned type lets the stable argsort run as a radix sort
-    edge_levels = levels.astype(np.min_scalar_type(levels.max()))[graph.edge_src]
-    by_level = np.argsort(edge_levels, kind="stable")
+    # the narrowest unsigned type lets the stable argsorts run as radix sorts
+    levels = levels.astype(np.min_scalar_type(levels.max()))
     has_p_child = np.zeros(graph.num_nodes, dtype=bool)
-    for edges in np.split(by_level, np.cumsum(np.bincount(edge_levels))[:-1]):
+    for edges in _edges_by_level(graph, levels):
         has_p_child[graph.edge_src[edges[~has_p_child[graph.edge_dst[edges]]]]] = True
     return ~has_p_child
+
+
+def _edges_by_level(graph: GameGraph, levels: np.ndarray):
+    """Edge ids grouped by their source's level, one array per level from 0
+    up, each in edge order."""
+    if graph.num_edges * np.dtype(np.intp).itemsize <= SORT_ALL_BYTES:
+        edge_levels = levels[graph.edge_src]
+        by_level = np.argsort(edge_levels, kind="stable")
+        lo = 0
+        for hi in np.cumsum(np.bincount(edge_levels)).tolist():
+            yield by_level[lo:hi]
+            lo = hi
+        return
+    # Edges are grouped by source in node order, so node u's edges are the
+    # ids first[u]:first[u + 1]; each level's ids are built from those
+    # ranges when it comes up, and no temporary outgrows one level.
+    by_level = np.argsort(levels, kind="stable")
+    first = np.searchsorted(graph.edge_src, np.arange(graph.num_nodes + 1))
+    count = np.diff(first)[by_level]
+    ends = np.cumsum(count)  # edge positions in level order
+    shift = first[by_level] - ends + count  # a node's edge ids minus their positions
+    lo = lo_edge = 0
+    for hi in np.cumsum(np.bincount(levels)).tolist():
+        hi_edge = int(ends[hi - 1])  # level 0 holds the terminal, so hi > 0
+        yield np.arange(lo_edge, hi_edge) + np.repeat(shift[lo:hi], count[lo:hi])
+        lo, lo_edge = hi, hi_edge
 
 
 def retrograde_labels(graph: GameGraph) -> dict[GameState, Label]:

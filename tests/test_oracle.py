@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chrom, worked_example, xor3_minus_a4, xor_chain
+from mepnim import oracle
 from mepnim.fitness import Label, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph, is_terminal
 from mepnim.genetics import random_chromosome
@@ -128,11 +130,20 @@ def small_roots(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_roots())
-def test_retrograde_mask_equals_xor_rule(case):
-    # Bouton (1901): a Nim position is P exactly when its heaps xor to 0
+@given(small_roots(), st.sampled_from([0, oracle.SORT_ALL_BYTES]))
+def test_retrograde_mask_equals_xor_rule(case, sort_all_bytes):
+    # Bouton (1901): a Nim position is P exactly when its heaps xor to 0.
+    # A limit of 0 takes the per-level edge ranges that large graphs use.
     mode, root = case
     graph = build_graph(root, mode)
-    mask = retrograde_p_mask(graph)
+    with patch.object(oracle, "SORT_ALL_BYTES", sort_all_bytes):
+        mask = retrograde_p_mask(graph)
     assert mask.dtype == bool
     assert np.array_equal(mask, np.bitwise_xor.reduce(graph.heap_matrix, axis=1) == 0)
+
+
+@pytest.mark.parametrize("root,mode", [((7, 7, 7, 7, 7), TUPLE), ((9, 9, 9, 9, 9, 9), MULTISET)])
+def test_retrograde_mask_on_graphs_above_the_sort_limit(root, mode):
+    graph = build_graph(root, mode)
+    assert graph.num_edges * 8 > oracle.SORT_ALL_BYTES
+    assert np.array_equal(retrograde_p_mask(graph), np.bitwise_xor.reduce(graph.heap_matrix, axis=1) == 0)
