@@ -12,6 +12,7 @@ from mepnim.game import (
     build_graph,
     canonicalize,
     children,
+    heap_take,
     is_terminal,
     moves,
     state_count,
@@ -112,6 +113,19 @@ def test_move_is_first_heap_take_pair_reaching_its_child():
                     first.setdefault(child, (i + 1, take))
             for m in moves(state, mode):
                 assert (m.heap, m.take) == first[m.child], (mode, state, m)
+
+
+@pytest.mark.parametrize("state,child,mode", [
+    ((2, 1), (2, 1), TUPLE),  # no move
+    ((2, 1), (0, 0), TUPLE),  # two heaps changed
+    ((2, 1), (1, 2), TUPLE),  # a heap grew
+    ((2, 1), (2,), TUPLE),  # a heap vanished
+    ((3, 1), (2, 2), MULTISET),  # total unchanged
+    ((3, 3), (3, 2, 0), MULTISET),
+])
+def test_heap_take_rejects_a_state_no_single_move_reaches(state, child, mode):
+    with pytest.raises(ValueError):
+        heap_take(state, child, mode)
 
 
 def test_moves_are_legal():
