@@ -128,6 +128,72 @@ class TestVerify:
         assert "(2, 1)" in out
 
 
+SUCCESS_REPORT = """\
+heaps = 2,2
+state-space = tuple
+pop = 30
+len = 8
+gens = 40
+crossover-prob = 1
+mutations = 3
+func-prob = 0.6
+seed = 1
+success = true
+generation-of-success = 18
+generations-run = 18
+best-fitness = 0
+formula = (a1 - a2)
+"""
+
+EXHAUSTED_REPORT = """\
+heaps = 2,2
+state-space = multiset
+pop = 6
+len = 1
+gens = 2
+crossover-prob = 0.9
+mutations = 2
+func-prob = 0.5
+seed = 0
+success = false
+generations-run = 2
+best-fitness = 3
+formula = a1
+"""
+
+SWEEP_CONFIG = """\
+name = exp2
+runs = 1
+master-seed = 7
+heaps = 2,2
+state-space = multiset
+"""
+
+
+class TestEchoedSettings:
+    """The resolved settings are echoed byte for byte into the output files."""
+
+    def test_report_of_a_successful_run(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("crossover-prob = 1\nfunc-prob = 0.6\nstate-space = tuple\n")
+        code = main(["evolve", "--config", str(cfg), "--heaps", "2,2", "--pop", "30", "--gens", "40",
+                     "--len", "8", "--seed", "1", "--mutations", "3", "--out", str(tmp_path / "ok.mep")])
+        assert code == 0
+        assert (tmp_path / "ok.report.txt").read_text() == SUCCESS_REPORT
+
+    def test_report_of_an_exhausted_run(self, tmp_path):
+        code = main(["evolve", "--heaps", "2,2", "--pop", "6", "--gens", "2",
+                     "--len", "1", "--seed", "0", "--out", str(tmp_path / "never.mep")])
+        assert code == 3
+        assert (tmp_path / "never.report.txt").read_text() == EXHAUSTED_REPORT
+
+    def test_sidecar_of_a_sweep(self, tmp_path, capsys):
+        code = main(["experiment", "--name", "exp2", "--runs", "1", "--heaps", "2,2",
+                     "--master-seed", "7", "--out", str(tmp_path / "r.csv")])
+        assert code == 0
+        assert (tmp_path / "r.config.txt").read_text() == SWEEP_CONFIG
+
+
 class TestEvolve:
     def test_small_run_writes_parseable_formula(self, tmp_path, capsys):
         out = tmp_path / "best.mep"
