@@ -1,9 +1,12 @@
 """Command-line front end: evolve, fitness, oracle, verify, experiment, play.
 
-Settings resolve flag > config file > built-in default; the fully resolved
-configuration is echoed into every output artifact so a run can be
-reproduced from its files alone.  Exit codes: 0 success, 2 usage or input
-error, 3 evolution budget exhausted, 4 verification failure.
+Every setting is one row of `SETTINGS`, which generates the flags, the
+config-file keys, the help defaults and the echoes.  Before a subcommand
+runs, each of its settings resolves flag > config file > default and is
+cast and validated; the resolved configuration is echoed into every output
+artifact so a run can be reproduced from its files alone.  Exit codes: 0
+success, 2 usage or input error (one `error:` line), 3 evolution budget
+exhausted, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import random
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .evolution import EvolutionConfig, evolve
 from .experiments import emit_csv, experiment_spec, run_sweep
@@ -48,26 +52,114 @@ class UsageError(Exception):
     pass
 
 
-def _parse_heaps(text: str) -> tuple[int, ...]:
+def _cast(convert, expected: str, valid=lambda value: True):
+    """A cast from text through `convert` that accepts only `valid` values
+    and reports every failure as 'expected <expected>'."""
+
+    def cast(text: str):
+        try:
+            value = convert(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"expected {expected}")
+
+    return cast
+
+
+def _one_of(*options: str):
+    return _cast(str, f"one of {', '.join(options)}", lambda text: text in options)
+
+
+def _load_formula(path: str) -> Chromosome:
     try:
-        heaps = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad heap list {text!r}; expected comma-separated integers") from None
-    if not heaps or any(h < 0 for h in heaps):
-        raise UsageError("heaps must be a non-empty list of non-negative integers")
-    return heaps
+        return parse_chromosome(Path(path).read_text())
+    except (OSError, ParseError) as exc:
+        raise ValueError(str(exc)) from None
 
 
-def _load_config(path: str | None, keys: set[str]) -> dict[str, str]:
-    """Flat `key = value` file; '#' starts a comment.  Each key must be one
-    of `keys`, the flag names of all subcommands, so one file can serve several."""
+_INTEGER = _cast(int, "an integer")
+_NUMBER = _cast(float, "a number")
+_COUNT = _cast(int, "an integer >= 1", lambda n: n >= 1)
+_HEAPS = _cast(lambda text: tuple(int(h) for h in text.split(",")), "comma-separated non-negative integers",
+               lambda heaps: min(heaps) >= 0)
+_MODE = _cast(StateSpaceMode, " or ".join(m.value for m in StateSpaceMode))
+_FILE = _cast(Path, "a file path", lambda path: path.name != "")  # a name to add a suffix to
+_REQUIRED = object()
+
+COMMANDS = ("evolve", "fitness", "oracle", "verify", "experiment", "play")
+_STOCK_SWEEP = experiment_spec("exp1")  # for the library's default runs and game of a sweep
+
+
+class Setting(NamedTuple):
+    """One row of the settings table: the flag and config key `name`, the
+    cast from text (which also validates), the help line, and the default in
+    each subcommand the setting applies to, or `_REQUIRED`.  `evolve`'s
+    report and `experiment`'s sidecar echo their `echo` settings in table
+    order."""
+
+    name: str
+    cast: Callable[[str], Any]
+    help: str
+    defaults: dict[str, Any]
+    echo: bool = True
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+
+SETTINGS = (
+    Setting("formula-file", _load_formula, "the formula, as a chromosome listing",
+            dict.fromkeys(("fitness", "verify", "play"), _REQUIRED)),
+    Setting("name", _one_of("exp1", "exp2", "exp3"), "which sweep to run: exp1, exp2 or exp3",
+            {"experiment": _REQUIRED}),
+    Setting("runs", _INTEGER, "runs per parameter value", {"experiment": _STOCK_SWEEP.runs_per_value}),
+    Setting("master-seed", _INTEGER, "seed all per-run seeds derive from", {"experiment": 0}),
+    Setting("heaps", _HEAPS, "comma-separated heap sizes, e.g. 4,4,4,4",
+            {**dict.fromkeys(COMMANDS, _REQUIRED), "experiment": _STOCK_SWEEP.base.heaps}),
+    Setting("state-space", _MODE, "treat permuted heaps as one state (multiset) or keep order (tuple)",
+            dict.fromkeys(COMMANDS, EvolutionConfig.mode)),
+    Setting("pop", _INTEGER, "population size", {"evolve": EvolutionConfig.population_size}),
+    Setting("len", _INTEGER, "chromosome length in genes", {"evolve": EvolutionConfig.chromosome_length}),
+    Setting("gens", _INTEGER, "generation budget", {"evolve": EvolutionConfig.generations}),
+    Setting("crossover-prob", _NUMBER, "crossover probability", {"evolve": OperatorConfig.crossover_probability}),
+    Setting("mutations", _INTEGER, "mutated genes per offspring", {"evolve": OperatorConfig.mutations_per_offspring}),
+    Setting("func-prob", _NUMBER, "probability a fresh gene is a function",
+            {"evolve": OperatorConfig.function_gene_probability}),
+    Setting("seed", _INTEGER, "random seed of the run (evolve) or of the random opponent (play)",
+            {"evolve": EvolutionConfig.seed, "play": 0}),
+    Setting("vs", _one_of("random", "oracle"), "opponent: random or oracle", {"play": "random"}),
+    Setting("games", _COUNT, "number of games", {"play": 1}),
+    Setting("out", _FILE, "output path: the formula (evolve) or the CSV (experiment)",
+            {"evolve": Path("best.mep"), "experiment": Path("results.csv")}, echo=False),
+    Setting("max-states", _COUNT, "refuse, before building it, a game with more states",
+            dict.fromkeys(COMMANDS, DEFAULT_MAX_STATES), echo=False),
+)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(h) for h in value)
+    if isinstance(value, StateSpaceMode):
+        return value.value
+    if isinstance(value, float):
+        return format(value, "g")
+    return str(value)
+
+
+def _load_config(path: str | None) -> dict[str, str]:
+    """Flat `key = value` file; '#' starts a comment.  Each key must be the
+    name of a setting of some subcommand, so one file can serve several."""
     if path is None:
         return {}
     config: dict[str, str] = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
+    names = {s.name for s in SETTINGS}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,30 +168,43 @@ def _load_config(path: str | None, keys: set[str]) -> dict[str, str]:
         if not sep:
             raise UsageError(f"config line {line_no}: expected 'key = value'")
         key = key.strip()
-        if key not in keys:
+        if key not in names:
             raise UsageError(f"config line {line_no}: unknown key {key!r}")
         config[key] = value.strip()
     return config
 
 
-def _resolver(args: argparse.Namespace, config: dict[str, str]):
-    def get(name: str, cast, default):
-        value = getattr(args, name.replace("-", "_"))
-        if value is not None:
-            # typed flags are already cast by argparse; string flags like
-            # --heaps still need parsing
-            return cast(value) if isinstance(value, str) else value
-        if name in config:
-            raw = config[name]
+def _resolve(args: argparse.Namespace, config: dict[str, str]) -> None:
+    """Set every setting of the chosen subcommand on `args`, cast and
+    validated: the flag if given, else the config value, else the default."""
+    missing = []
+    for s in SETTINGS:
+        if args.command not in s.defaults:
+            continue
+        raw = getattr(args, s.dest)
+        if raw is None:
+            raw = config.get(s.name)
+        if raw is None:
+            value = s.defaults[args.command]
+            if value is _REQUIRED:
+                missing.append(f"--{s.name}")
+        else:
             try:
-                return cast(raw)
-            except UsageError:
-                raise
-            except ValueError:
-                raise UsageError(f"bad config value for {name!r}: {raw!r}") from None
-        return default
+                value = s.cast(raw)
+            except ValueError as exc:
+                raise UsageError(f"bad value for --{s.name} {raw!r}: {exc}") from None
+        setattr(args, s.dest, value)
+    if missing:
+        raise UsageError(f"{args.command} requires {' and '.join(missing)}")
 
-    return get
+
+def _echo(args: argparse.Namespace) -> str:
+    """The resolved settings of the subcommand, one `name = value` line each."""
+    return "".join(
+        f"{s.name} = {_fmt(getattr(args, s.dest))}\n"
+        for s in SETTINGS
+        if s.echo and args.command in s.defaults
+    )
 
 
 def _write_file(path: Path, text: str) -> None:
@@ -109,134 +214,80 @@ def _write_file(path: Path, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _load_formula(path: str) -> Chromosome:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read formula file: {exc}") from None
-    try:
-        return parse_chromosome(text)
-    except ParseError as exc:
-        raise UsageError(f"{path}: {exc}") from None
-
-
-def _check_size(get, heaps, mode: StateSpaceMode) -> None:
+def _check_size(args, heaps) -> None:
     """Refuse a game with more states than --max-states before anything is
-    built.  Every game has at least 1 + sum(heaps) states, so that test
-    comes first and keeps `state_count`, whose multiset DP grows with
-    sum(heaps), cheap."""
-    limit = get("max-states", int, DEFAULT_MAX_STATES)
-    if limit < 1:
-        raise UsageError("--max-states must be >= 1")
+    built.  Every game has at least 1 + sum(heaps) states, so a game that
+    fails that test is refused without counting its states."""
+    limit, mode = args.max_states, args.state_space
     if sum(heaps) >= limit:
         count = f"at least {sum(heaps) + 1}"
     else:
         count = state_count(heaps, mode)
         if count <= limit:
             return
-    raise UsageError(
-        f"heaps {','.join(str(h) for h in heaps)} give {count} {mode.value} states, more than --max-states {limit}"
-    )
+    raise UsageError(f"heaps {_fmt(heaps)} give {count} {mode.value} states, more than --max-states {limit}")
 
 
-def _build(get, heaps, mode: StateSpaceMode):
-    _check_size(get, heaps, mode)
-    return build_graph(heaps, mode)
-
-
-def _formula_game(get, command: str):
-    """The formula, heaps and state-space mode that fitness, verify and play require."""
-    formula = get("formula-file", str, None)
-    heaps = get("heaps", _parse_heaps, None)
-    if formula is None or heaps is None:
-        raise UsageError(f"{command} requires --formula-file and --heaps")
-    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
-    return _load_formula(formula), heaps, mode
+def _build(args, heaps):
+    _check_size(args, heaps)
+    return build_graph(heaps, args.state_space)
 
 
 def _state_text(state) -> str:
     return f"({', '.join(str(h) for h in state)})"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, "g")
-    return str(value)
-
-
-def _cmd_evolve(args, config) -> int:
-    get = _resolver(args, config)
-    heaps = get("heaps", _parse_heaps, None)
-    if heaps is None:
-        raise UsageError("evolve requires --heaps")
-    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
+def _cmd_evolve(args) -> int:
+    """search for a zero-violation formula"""
     try:
-        operators = OperatorConfig(
-            crossover_probability=get("crossover-prob", float, 0.9),
-            mutations_per_offspring=get("mutations", int, 2),
-            function_gene_probability=get("func-prob", float, 0.5),
+        config = EvolutionConfig(
+            heaps=args.heaps,
+            population_size=args.pop,
+            chromosome_length=args.len,
+            generations=args.gens,
+            operators=OperatorConfig(
+                crossover_probability=args.crossover_prob,
+                mutations_per_offspring=args.mutations,
+                function_gene_probability=args.func_prob,
+            ),
+            seed=args.seed,
+            mode=args.state_space,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    run_config = EvolutionConfig(
-        heaps=heaps,
-        population_size=get("pop", int, 100),
-        chromosome_length=get("len", int, 15),
-        generations=get("gens", int, 100),
-        operators=operators,
-        seed=get("seed", int, 0),
-        mode=mode,
-    )
-    out_path = Path(get("out", str, "best.mep"))
-    _check_size(get, heaps, mode)
-
-    try:
-        result = evolve(run_config)
+        _check_size(args, args.heaps)
+        result = evolve(config)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    echo = [
-        f"heaps = {','.join(str(h) for h in run_config.heaps)}",
-        f"state-space = {mode.value}",
-        f"pop = {run_config.population_size}",
-        f"len = {run_config.chromosome_length}",
-        f"gens = {run_config.generations}",
-        f"crossover-prob = {_fmt(operators.crossover_probability)}",
-        f"mutations = {operators.mutations_per_offspring}",
-        f"func-prob = {_fmt(operators.function_gene_probability)}",
-        f"seed = {run_config.seed}",
-    ]
+    best = "invalid" if result.best_fitness == INVALID else result.best_fitness
     outcome = [
         f"success = {'true' if result.success else 'false'}",
         f"generations-run = {len(result.best_fitness_history) - 1}",
-        f"best-fitness = {'invalid' if result.best_fitness == INVALID else result.best_fitness}",
+        f"best-fitness = {best}",
         f"formula = {decode_infix(result.best_chromosome)}",
     ]
     if result.success:
         outcome.insert(1, f"generation-of-success = {result.generation_of_success}")
 
-    report = "\n".join(echo + outcome) + "\n"
-    report_path = out_path.with_suffix(".report.txt")
+    report = _echo(args) + "\n".join(outcome) + "\n"
+    report_path = args.out.with_suffix(".report.txt")
     _write_file(report_path, report)
     print(report, end="")
     print(f"wrote {report_path}")
 
     if not result.success:
-        print(f"no zero-violation formula within budget (best fitness "
-              f"{'invalid' if result.best_fitness == INVALID else result.best_fitness})")
+        print(f"no zero-violation formula within budget (best fitness {best})")
         return EXIT_EXHAUSTED
 
-    _write_file(out_path, format_chromosome(result.best_chromosome, heaps=len(heaps)) + "\n")
-    print(f"wrote {out_path}")
+    _write_file(args.out, format_chromosome(result.best_chromosome, heaps=len(args.heaps)) + "\n")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def _cmd_fitness(args, config) -> int:
-    get = _resolver(args, config)
-    chrom, heaps, mode = _formula_game(get, "fitness")
-    graph = _build(get, heaps, mode)
+def _cmd_fitness(args) -> int:
+    """violation count of a formula on a game"""
+    graph = _build(args, args.heaps)
     try:
-        total, breakdown = graph_fitness(chrom, graph)
+        total, breakdown = graph_fitness(args.formula_file, graph)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if breakdown is None:
@@ -249,25 +300,20 @@ def _cmd_fitness(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args, config) -> int:
-    get = _resolver(args, config)
-    heaps = get("heaps", _parse_heaps, None)
-    if heaps is None:
-        raise UsageError("oracle requires --heaps")
-    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
-    graph = _build(get, heaps, mode)
+def _cmd_oracle(args) -> int:
+    """print the ground-truth P/N table"""
+    graph = _build(args, args.heaps)
     labels = retrograde_labels(graph)
     for state in graph.nodes:
         print(f"{_state_text(state)}: {labels[state].value}")
     return EXIT_OK
 
 
-def _cmd_verify(args, config) -> int:
-    get = _resolver(args, config)
-    chrom, heaps, mode = _formula_game(get, "verify")
-    graph = _build(get, heaps, mode)
+def _cmd_verify(args) -> int:
+    """check a formula against the oracle"""
+    graph = _build(args, args.heaps)
     try:
-        result = verify_formula(chrom, graph)
+        result = verify_formula(args.formula_file, graph)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if result.invalid:
@@ -284,50 +330,35 @@ def _cmd_verify(args, config) -> int:
     return EXIT_VERIFY_FAILED
 
 
-def _cmd_experiment(args, config) -> int:
-    get = _resolver(args, config)
-    name = get("name", str, None)
-    if name is None:
-        raise UsageError("experiment requires --name exp1|exp2|exp3")
-    runs = get("runs", int, 50)
-    master_seed = get("master-seed", int, 0)
-    heaps = get("heaps", _parse_heaps, (4, 4, 4, 4))
-    mode = get("state-space", StateSpaceMode, StateSpaceMode.MULTISET)
-    out_path = Path(get("out", str, "results.csv"))
-
+def _cmd_experiment(args) -> int:
+    """run a stock parameter sweep"""
     try:
-        spec = experiment_spec(name, EvolutionConfig(heaps=heaps, mode=mode), runs_per_value=runs)
+        spec = experiment_spec(
+            args.name, EvolutionConfig(heaps=args.heaps, mode=args.state_space), runs_per_value=args.runs
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _check_size(get, heaps, mode)
+    _check_size(args, args.heaps)
 
-    table = run_sweep(spec, master_seed)
+    table = run_sweep(spec, args.master_seed)
     csv_text = emit_csv(table)
-    _write_file(out_path, csv_text)
-
-    echo = [
-        f"name = {name}",
-        f"runs = {runs}",
-        f"master-seed = {master_seed}",
-        f"heaps = {','.join(str(h) for h in heaps)}",
-        f"state-space = {mode.value}",
-    ]
-    config_path = out_path.with_suffix(".config.txt")
-    _write_file(config_path, "\n".join(echo) + "\n")
+    _write_file(args.out, csv_text)
+    config_path = args.out.with_suffix(".config.txt")
+    _write_file(config_path, _echo(args))
 
     print(csv_text, end="")
     for row in table:
         if row.error:
             print(f"error at {row.parameter}={row.value}: {row.error}", file=sys.stderr)
-    print(f"wrote {out_path}")
+    print(f"wrote {args.out}")
     print(f"wrote {config_path}")
     return EXIT_OK
 
 
-def _cmd_play(args, config) -> int:
-    get = _resolver(args, config)
-    chrom, heaps, mode = _formula_game(get, "play")
-    start = canonicalize(heaps, mode)
+def _cmd_play(args) -> int:
+    """play games with a formula-driven strategy"""
+    chrom, mode = args.formula_file, args.state_space
+    start = canonicalize(args.heaps, mode)
     if max_heap_ref(chrom) >= len(start):
         raise UsageError(
             f"formula references heap a{max_heap_ref(chrom) + 1} but the game has {len(start)} heaps"
@@ -338,106 +369,59 @@ def _cmd_play(args, config) -> int:
         interactive_session(classifier, start, mode)
         return EXIT_OK
 
-    opponent_kind = get("vs", str, "random")
-    games = get("games", int, 1)
-    seed = get("seed", int, 0)
-    if games < 1:
-        raise UsageError("--games must be >= 1")
-
     mover = classifier_strategy(classifier, mode)
-    if opponent_kind == "random":
-        opponent = random_strategy(random.Random(seed), mode)
-    elif opponent_kind == "oracle":
-        opponent = classifier_strategy(oracle_classifier(_build(get, start, mode)), mode)
+    if args.vs == "random":
+        opponent = random_strategy(random.Random(args.seed), mode)
     else:
-        raise UsageError(f"unknown opponent {opponent_kind!r}; expected random or oracle")
+        opponent = classifier_strategy(oracle_classifier(_build(args, start)), mode)
 
     wins = 0
-    for _ in range(games):
+    for _ in range(args.games):
         game = play_game(mover, opponent, start, mode)
         if game.winner == 1:
             wins += 1
-        if games == 1:
+        if args.games == 1:
             for record in game.transcript:
                 print(record)
-    print(f"formula (moving first) won {wins}/{games} games vs {opponent_kind}")
+    print(f"formula (moving first) won {wins}/{args.games} games vs {args.vs}")
     return EXIT_OK
 
 
+_RUN = {"evolve": _cmd_evolve, "fitness": _cmd_fitness, "oracle": _cmd_oracle,
+        "verify": _cmd_verify, "experiment": _cmd_experiment, "play": _cmd_play}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mepnim",
         description="Evolve and verify integer formulas that classify Nim positions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command in COMMANDS:
+        p = sub.add_parser(command, help=_RUN[command].__doc__)
         p.add_argument("--config", help="flat key = value settings file; flags win")
-        p.add_argument("--heaps", help="comma-separated heap sizes, e.g. 4,4,4,4")
-        p.add_argument("--state-space", choices=["multiset", "tuple"],
-                       help="treat permuted heaps as one state (multiset, default) or keep order (tuple)")
-        p.add_argument("--max-states", type=int,
-                       help=f"refuse, before building it, a game with more states (default {DEFAULT_MAX_STATES})")
-
-    p = sub.add_parser("evolve", help="search for a zero-violation formula")
-    common(p)
-    p.add_argument("--pop", type=int, help="population size (default 100)")
-    p.add_argument("--len", type=int, help="chromosome length in genes (default 15)")
-    p.add_argument("--gens", type=int, help="generation budget (default 100)")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--crossover-prob", type=float, help="crossover probability (default 0.9)")
-    p.add_argument("--mutations", type=int, help="mutated genes per offspring (default 2)")
-    p.add_argument("--func-prob", type=float, help="probability a fresh gene is a function (default 0.5)")
-    p.add_argument("--out", help="formula output path (default best.mep)")
-    p.set_defaults(func=_cmd_evolve)
-
-    p = sub.add_parser("fitness", help="violation count of a formula on a game")
-    common(p)
-    p.add_argument("--formula-file", help="chromosome listing to score")
-    p.set_defaults(func=_cmd_fitness)
-
-    p = sub.add_parser("oracle", help="print the ground-truth P/N table")
-    common(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("verify", help="check a formula against the oracle")
-    common(p)
-    p.add_argument("--formula-file", help="chromosome listing to check")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("experiment", help="run a stock parameter sweep")
-    common(p)
-    p.add_argument("--name", choices=["exp1", "exp2", "exp3"], help="which sweep to run")
-    p.add_argument("--runs", type=int, help="runs per parameter value (default 50)")
-    p.add_argument("--master-seed", type=int, help="seed all per-run seeds derive from (default 0)")
-    p.add_argument("--out", help="CSV output path (default results.csv)")
-    p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser("play", help="play games with a formula-driven strategy")
-    common(p)
-    p.add_argument("--formula-file", help="chromosome listing to play with")
-    p.add_argument("--vs", choices=["random", "oracle"], help="opponent type (default random)")
-    p.add_argument("--games", type=int, help="number of games (default 1)")
-    p.add_argument("--seed", type=int, help="random opponent seed (default 0)")
-    p.add_argument("--human", action="store_true", help="interactive session, human moves first")
-    p.set_defaults(func=_cmd_play)
-
+        for s in SETTINGS:
+            if command in s.defaults:
+                default = s.defaults[command]
+                shown = "required" if default is _REQUIRED else f"default {_fmt(default)}"
+                p.add_argument(f"--{s.name}", help=f"{s.help} ({shown})")
+        if command == "play":
+            p.add_argument("--human", action="store_true", help="interactive session, human moves first")
     return parser
 
 
-def _flag_names(parser: argparse.ArgumentParser) -> set[str]:
-    """Every `--name` flag of every subcommand, without the dashes."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = (o for command in sub.choices.values() for a in command._actions for o in a.option_strings)
-    return {o[2:] for o in options if o.startswith("--")}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config, _flag_names(parser))
-        return args.func(args, config)
+        args = _build_parser().parse_args(argv)
+        _resolve(args, _load_config(args.config))
+        return _RUN[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

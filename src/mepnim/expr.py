@@ -94,6 +94,25 @@ def _opcode(symbol: str) -> tuple[int, int]:
     return _HEAP, heap_ref(symbol)
 
 
+def _gene_fault(gene: Gene, pos: int) -> str | None:
+    """What breaks the chromosome invariants in `gene` at 0-based position
+    `pos`, or None: an unknown symbol, a terminal with arguments, an
+    operator first or with the wrong number of arguments, or an argument
+    that does not point at an earlier gene."""
+    if is_terminal_symbol(gene.symbol):
+        return f"terminal {gene.symbol!r} takes no arguments" if gene.args else None
+    if gene.symbol not in ARITY:
+        return f"unknown symbol {gene.symbol!r}"
+    if pos == 0:
+        return "first gene must be a terminal symbol"
+    if len(gene.args) != ARITY[gene.symbol]:
+        return f"{gene.symbol!r} expects {ARITY[gene.symbol]} argument(s), got {len(gene.args)}"
+    for a in gene.args:
+        if not 0 <= a < pos:
+            return f"argument {a + 1} must reference an earlier gene (1..{pos})"
+    return None
+
+
 @dataclass(frozen=True)
 class Chromosome:
     """Immutable, validated gene sequence.  Raises ValueError on any
@@ -101,8 +120,8 @@ class Chromosome:
     forward/self argument reference, unknown symbol).
 
     Validation happens here and in `parse_chromosome`, where genes come
-    from outside.  The variation operators build their offspring through
-    `_trusted`, which skips it.
+    from outside; both apply `_gene_fault` to every gene.  The variation
+    operators build their offspring through `_trusted`, which skips it.
     """
 
     genes: tuple[Gene, ...]
@@ -112,21 +131,9 @@ class Chromosome:
         if not self.genes:
             raise ValueError("chromosome must contain at least one gene")
         for pos, gene in enumerate(self.genes):
-            if is_terminal_symbol(gene.symbol):
-                if gene.args:
-                    raise ValueError(f"gene {pos + 1}: terminal {gene.symbol!r} takes no arguments")
-            elif gene.symbol in ARITY:
-                if pos == 0:
-                    raise ValueError("first gene must be a terminal symbol")
-                if len(gene.args) != ARITY[gene.symbol]:
-                    raise ValueError(
-                        f"gene {pos + 1}: {gene.symbol!r} expects {ARITY[gene.symbol]} argument(s)"
-                    )
-                for a in gene.args:
-                    if not 0 <= a < pos:
-                        raise ValueError(f"gene {pos + 1}: argument must point at an earlier gene")
-            else:
-                raise ValueError(f"gene {pos + 1}: unknown symbol {gene.symbol!r}")
+            fault = _gene_fault(gene, pos)
+            if fault:
+                raise ValueError(f"gene {pos + 1}: {fault}")
 
     @classmethod
     def _trusted(cls, genes: tuple[Gene, ...]) -> Chromosome:
@@ -390,40 +397,26 @@ def parse_chromosome(text: str) -> Chromosome:
         tokens = rest.split()
         if not tokens:
             raise ParseError("missing symbol", line_no)
-        symbol, arg_tokens = tokens[0], tokens[1:]
-
-        if is_terminal_symbol(symbol):
-            if arg_tokens:
-                raise ParseError(f"terminal {symbol!r} takes no arguments", line_no)
-            ref = heap_ref(symbol)
-            if ref is not None and declared_heaps is not None and ref >= declared_heaps:
-                raise ParseError(f"{symbol!r} exceeds declared heap count {declared_heaps}", line_no)
-            genes.append(Gene(symbol))
-        elif symbol in ARITY:
-            if label == 1:
-                raise ParseError("first gene must be a terminal symbol", line_no)
-            if len(arg_tokens) != ARITY[symbol]:
-                raise ParseError(
-                    f"{symbol!r} expects {ARITY[symbol]} argument(s), got {len(arg_tokens)}", line_no
-                )
-            args = []
-            for tok in arg_tokens:
-                try:
-                    ref = int(tok)
-                except ValueError:
-                    raise ParseError(f"bad argument reference {tok!r}", line_no) from None
-                if not 1 <= ref < label:
-                    raise ParseError(f"argument {ref} must reference an earlier gene (1..{label - 1})", line_no)
-                args.append(ref - 1)
-            genes.append(Gene(symbol, tuple(args)))
-        else:
-            raise ParseError(f"unknown symbol {symbol!r}", line_no)
+        symbol, args = tokens[0], []
+        for tok in tokens[1:]:
+            try:
+                args.append(int(tok) - 1)
+            except ValueError:
+                raise ParseError(f"bad argument reference {tok!r}", line_no) from None
+        gene = Gene(symbol, tuple(args))
+        fault = _gene_fault(gene, len(genes))
+        if fault:
+            raise ParseError(fault, line_no)
+        ref = heap_ref(symbol)
+        if ref is not None and declared_heaps is not None and ref >= declared_heaps:
+            raise ParseError(f"{symbol!r} exceeds declared heap count {declared_heaps}", line_no)
+        genes.append(gene)
 
     if not genes:
         raise ParseError("no genes", 1)
     if declared_genes is not None and declared_genes != len(genes):
         raise ParseError(f"header declares {declared_genes} genes but {len(genes)} listed", header_line)
-    return Chromosome(tuple(genes))
+    return Chromosome._trusted(tuple(genes))
 
 
 def _parse_header(line: str, line_no: int) -> tuple[int, int]:

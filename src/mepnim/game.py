@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 
 import numpy as np
 
@@ -93,16 +92,29 @@ def state_count(root, mode: StateSpaceMode) -> int:
     """Number of states reachable from the root, from a closed form, without
     building anything.  Tuple mode: the box of all states componentwise <=
     the root, prod(h + 1).  Multiset mode: the non-increasing sequences
-    bounded componentwise by the sorted root, counted by a DP over positions
-    whose cost grows with sum(root)."""
+    bounded componentwise by the sorted root.  With the root sorted
+    ascending as a_1..a_k, that count is the determinant of the
+    upper-Hessenberg matrix [C(a_i + 1, j - i + 1)] (its subdiagonal is all
+    1s), expanded without division: D_0 = 1, D_m = sum over r = 1..m of
+    (-1)^(m - r) * C(a_r + 1, m - r + 1) * D_(r - 1), and the count is D_k.
+    Walking r down from m, the binomials stay 0 from the first 0 on, so the
+    cost is at most k * min(k, max(a) + 2) binomials, however large the
+    heaps."""
     start = canonicalize(root, mode)
     if mode is StateSpaceMode.TUPLE:
         return math.prod(h + 1 for h in start)
-    # ways[v]: the valid prefixes so far that end in value v
-    ways = [0] * start[0] + [1] if start else [1]
-    for bound in start:
-        ways = list(accumulate(reversed(ways)))[::-1][: bound + 1]
-    return sum(ways)
+    a = start[::-1]
+    d = [1]
+    for m in range(1, len(a) + 1):
+        total, sign = 0, 1
+        for r in range(m, 0, -1):
+            c = math.comb(a[r - 1] + 1, m - r + 1)
+            if not c:
+                break
+            total += sign * c * d[r - 1]
+            sign = -sign
+        d.append(total)
+    return d[-1]
 
 
 class GameGraph:

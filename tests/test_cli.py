@@ -1,10 +1,14 @@
+import contextlib
 import io
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import worked_example, xor_chain
-from mepnim.cli import main
+from mepnim.cli import COMMANDS, SETTINGS, main
 from mepnim.expr import format_chromosome, parse_chromosome
 from mepnim.fitness import graph_fitness
 from mepnim.game import StateSpaceMode, build_graph
@@ -263,10 +267,10 @@ class TestExperiment:
         main(args + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_unknown_name_rejected_by_parser(self):
-        with pytest.raises(SystemExit) as err:
-            main(["experiment", "--name", "exp9"])
-        assert err.value.code == 2
+    def test_unknown_name_rejected_by_parser(self, capsys):
+        assert main(["experiment", "--name", "exp9"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad value for --name 'exp9': expected one of exp1, exp2, exp3\n"
 
 
 class TestPlay:
@@ -292,7 +296,7 @@ class TestPlay:
 
     def test_bad_heaps_value(self, xor_file, capsys):
         assert main(["play", "--formula-file", xor_file, "--heaps", "4,x"]) == 2
-        assert "bad heap list" in capsys.readouterr().err
+        assert "bad value for --heaps '4,x'" in capsys.readouterr().err
 
     def test_formula_heap_mismatch(self, xor_file, capsys):
         assert main(["play", "--formula-file", xor_file, "--heaps", "2,2"]) == 2
@@ -308,6 +312,7 @@ class TestBadSettings:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert all(word in err for word in words)
+        return err
 
     @pytest.mark.parametrize("command,extra", [
         ("evolve", []),
@@ -382,9 +387,150 @@ class TestBadSettings:
         code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.mep")])
         self.assert_usage_error(code, capsys, "line 2", "popp")
 
+    @pytest.mark.parametrize("key,value", [("human", "true"), ("config", "other.cfg"), ("help", "yes")])
+    def test_key_that_is_no_setting(self, key, value, xor_file, tmp_path, capsys):
+        # flags that are not settings are not config keys either
+        cfg = tmp_path / "extra.cfg"
+        cfg.write_text(f"heaps = 4,4,4,4\n{key} = {value}\n")
+        code = main(["play", "--config", str(cfg), "--formula-file", xor_file])
+        self.assert_usage_error(code, capsys, f"config line 2: unknown key '{key}'")
+
+    @pytest.mark.parametrize("argv,words", [
+        (["oracle", "--heaps", "2,1", "--pop", "abc"], ["unrecognized arguments: --pop abc"]),
+        (["evolve", "--heaps", "2,2", "--pop", "abc"], ["--pop 'abc'", "expected an integer"]),
+        (["evolve", "--heaps", "2,2", "--popp", "3"], ["unrecognized arguments: --popp 3"]),
+        (["evolve", "--heaps"], ["--heaps", "expected one argument"]),
+        (["experiment", "--name", "exp9"], ["--name 'exp9'", "exp1, exp2, exp3"]),
+        (["play", "--vs", "human"], ["--vs 'human'", "random, oracle"]),
+        (["oracle", "--heaps", "2,1", "--state-space", "foo"], ["--state-space 'foo'", "multiset or tuple"]),
+        (["evolve", "--heaps", "2,2", "--out", ""], ["--out ''", "a file path"]),
+        ([], ["required: command"]),
+        (["solve"], ["invalid choice: 'solve'"]),
+    ])
+    def test_bad_command_line_is_one_error_line(self, argv, words, tmp_path, capsys):
+        self.assert_usage_error(main(argv), capsys, *words)
+
+    @pytest.mark.parametrize("key,value", [
+        ("pop", "abc"), ("heaps", "2,-1"), ("crossover-prob", "x"), ("max-states", "0"), ("state-space", "foo"),
+    ])
+    def test_flag_and_config_value_read_the_same(self, key, value, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "x.mep")]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"heaps = 2,2\n{key} = {value}\n")
+        from_config = self.assert_usage_error(main(["evolve", "--config", str(cfg), *out]), capsys)
+        from_flag = self.assert_usage_error(main(["evolve", "--heaps", "2,2", f"--{key}", value, *out]), capsys)
+        assert from_flag == from_config
+        assert f"--{key} {value!r}" in from_flag
+
+    def test_unreadable_formula_file(self, tmp_path, capsys):
+        binary = tmp_path / "binary.mep"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for path in (str(binary), str(tmp_path / "missing.mep"), str(tmp_path)):
+            code = main(["verify", "--formula-file", path, "--heaps", "2,1"])
+            self.assert_usage_error(code, capsys, f"--formula-file {path!r}")
+
+    def test_help_shows_each_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main(["evolve", "--help"])
+        text = capsys.readouterr().out
+        for line in ("(required)", "population size (default 100)", "crossover probability (default 0.9)",
+                     "(default multiset)", "(default best.mep)", "(default 1000000)"):
+            assert line in text
+
     def test_key_of_another_subcommand_is_accepted(self, xor_file, tmp_path, capsys):
         # one file can serve both evolve and verify
         cfg = tmp_path / "shared.cfg"
         cfg.write_text(f"heaps = 4,4,4,4\npop = 7\nformula-file = {xor_file}\n")
         assert main(["verify", "--config", str(cfg)]) == 0
         assert "agrees" in capsys.readouterr().out
+
+
+# Good and bad values for every setting; the good ones keep each run small.
+FUZZ_VALUES = {
+    "formula-file": (["xor2.mep", "a1.mep"], ["bad.mep", "binary.mep", "missing.mep", ""]),
+    "name": (["exp1", "exp2", "exp3"], ["exp9", ""]),
+    "runs": (["1"], ["0", "-1", "x"]),
+    "master-seed": (["0", "5", "-2"], ["1e3"]),
+    "heaps": (["2,1", "1,1,1", "3", "0", "2,2"], ["", "4,x", "-1", "2,,1", "1000000000,3", "9,9,9"]),
+    "state-space": (["multiset", "tuple"], ["foo"]),
+    "pop": (["4", "6"], ["3", "abc"]),
+    "len": (["1", "5"], ["0", "x"]),
+    "gens": (["1", "2"], ["0", "1.5"]),
+    "crossover-prob": (["0", "0.5", "1"], ["2", "nan", "x"]),
+    "mutations": (["0", "2"], ["-1", "x"]),
+    "func-prob": (["0.5", "1"], ["-0.1", "x"]),
+    "seed": (["0", "7", "-3"], ["x"]),
+    "vs": (["random", "oracle"], ["human"]),
+    "games": (["1", "3"], ["0", "x"]),
+    "out": (["o.mep", "o.csv"], ["", "/", ".", "no/such/dir/o.mep"]),
+    "max-states": (["5", "40"], ["0", "x"]),
+}
+FUZZ_ANY_VALUE = sorted({value for pools in FUZZ_VALUES.values() for pool in pools for value in pool})
+
+# Flags put before the drawn ones: a run that is not refused stays small
+# even where a drawn flag overrides one of them.
+FUZZ_BUDGET = {
+    "evolve": ["--pop", "6", "--gens", "2"],
+    "experiment": ["--runs", "1"],
+}
+FUZZ_REQUIRED = {"heaps": "2,1", "formula-file": "xor2.mep", "name": "exp2"}
+
+
+@st.composite
+def fuzz_setting(draw, command):
+    """Mostly a setting of `command` with a good value, now and then a bad
+    value, a value of another setting or a name that is no setting."""
+    own = [s.name for s in SETTINGS if command in s.defaults]
+    name = draw(st.sampled_from(own if own and draw(st.integers(0, 9)) else [*FUZZ_VALUES, "popp", "human"]))
+    good, bad = FUZZ_VALUES.get(name, ([], FUZZ_ANY_VALUE))
+    pool = good if good and draw(st.integers(0, 5)) else bad if draw(st.booleans()) else FUZZ_ANY_VALUE
+    return name, draw(st.sampled_from(pool))
+
+
+@st.composite
+def fuzz_argv(draw):
+    """An argv for `main` and the text of the config file `fuzz.cfg`."""
+    command = draw(st.sampled_from(COMMANDS)) if draw(st.integers(0, 19)) else "solve"
+    argv = []
+    if command in COMMANDS and draw(st.integers(0, 19)):
+        argv += [command, "--max-states", "40", *FUZZ_BUDGET.get(command, [])]
+        for s in SETTINGS:
+            if s.name in FUZZ_REQUIRED and command in s.defaults and draw(st.integers(0, 4)):
+                argv += [f"--{s.name}", FUZZ_REQUIRED[s.name]]
+    elif draw(st.booleans()):
+        argv.append(command)
+    for name, value in draw(st.lists(fuzz_setting(command), max_size=4)):
+        argv += [f"--{name}", value]
+    if draw(st.booleans()):
+        bad_config = st.sampled_from(["no.cfg", "binary.mep"])
+        argv += ["--config", "fuzz.cfg" if draw(st.integers(0, 5)) else draw(bad_config)]
+    if command == "play" and draw(st.integers(0, 4)) == 0:
+        argv.append("--human")
+    config = "".join(f"{name} = {value}\n" for name, value in draw(st.lists(fuzz_setting(command), max_size=4)))
+    return argv, config
+
+
+def test_names_in_fuzz_are_the_settings():
+    assert list(FUZZ_VALUES) == [s.name for s in SETTINGS]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=fuzz_argv())
+def test_fuzz_main_exits_with_a_documented_code(case, tmp_path, monkeypatch):
+    # one working directory serves every example
+    argv, config = case
+    monkeypatch.chdir(tmp_path)
+    if not Path("xor2.mep").exists():
+        Path("xor2.mep").write_text(format_chromosome(xor_chain(2), heaps=2) + "\n")
+        Path("a1.mep").write_text("1: a1\n")
+        Path("bad.mep").write_text("1: a1\n2: xor 3 1\n")
+        Path("binary.mep").write_bytes(b"\xff\xfe\x00")
+    Path("fuzz.cfg").write_text(config)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 import pytest
@@ -225,6 +225,32 @@ def test_tuple_graph_equals_reference_bfs(root):
 @given(st.lists(st.integers(0, 4), min_size=0, max_size=6), st.sampled_from([MULTISET, TUPLE]))
 def test_state_count_equals_built_node_count(root, mode):
     assert state_count(root, mode) == build_graph(root, mode).num_nodes
+
+
+def multiset_count_by_dp(root):
+    """Non-increasing sequences bounded componentwise by the sorted root,
+    counted position by position; the cost grows with sum(root).  The slow
+    reference for `state_count` in multiset mode."""
+    start = canonicalize(root, MULTISET)
+    # ways[v]: the valid prefixes so far that end in value v
+    ways = [0] * start[0] + [1] if start else [1]
+    for bound in start:
+        ways = list(accumulate(reversed(ways)))[::-1][: bound + 1]
+    return sum(ways)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=0, max_size=8))
+@example([]).via("no heaps")
+@example([0, 0]).via("all-zero root")
+def test_multiset_state_count_equals_dp(root):
+    assert state_count(root, MULTISET) == multiset_count_by_dp(root)
+
+
+def test_state_count_of_huge_heaps_is_cheap():
+    assert state_count((10**9,), MULTISET) == 10**9 + 1
+    assert state_count((10**9, 3), MULTISET) == 3_999_999_998
+    assert state_count((10**9, 3), TUPLE) == (10**9 + 1) * 4
 
 
 def test_state_count_of_games_too_large_to_build():
