@@ -7,7 +7,7 @@ better offspring replace the worst population member when strictly better.
 The run stops as soon as any individual reaches fitness 0.
 
 Each run keeps a fitness cache keyed on the chromosome's compiled program
-(`Program.key`): chromosomes that differ only in inactive genes, or that
+(`Program.code`): chromosomes that differ only in inactive genes, or that
 recur after selection and mutation, are scored once per run.
 """
 
@@ -87,10 +87,10 @@ def evolve(config: EvolutionConfig) -> RunResult:
     pop_size = config.population_size
     length = config.chromosome_length
 
-    scores: dict[str, int | float] = {}
+    scores: dict[tuple, int | float] = {}
 
     def score(chrom: Chromosome) -> int | float:
-        key = chrom.program.key
+        key = chrom.program.code
         fit = scores.get(key)
         if fit is None:
             fit = scores[key] = graph_fitness(chrom, graph)[0]

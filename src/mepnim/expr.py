@@ -12,7 +12,6 @@ operators act on the 64-bit bit pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -67,31 +66,29 @@ class Program(NamedTuple):
     ``code`` holds one ``(opcode, x, y)`` instruction per active gene, in
     gene order: a heap terminal carries its 0-based heap index in ``x``; an
     operator carries the slots (indices into ``code``) of its arguments in
-    ``x`` and ``y``.  ``key`` encodes ``code`` as text, so two chromosomes
-    with equal keys compute the same function on every input.
+    ``x`` and ``y``.  Positions of inactive genes leave no trace in it, so
+    two chromosomes with equal ``code`` compute the same function on every
+    input.
     """
 
     max_heap_ref: int
     active: tuple[int, ...]
     code: tuple[tuple[int, int, int], ...]
-    key: str
 
 
 _FUNCTION_OPS = {sym: i for i, sym in enumerate(FUNCTIONS)}
 _NOT = _FUNCTION_OPS["not"]
 _N = len(FUNCTIONS)
 _HEAP = _N + 1
+# terminal symbol -> its instruction; heap terminals are added on first use
+_TERMINALS: dict[str, tuple[int, int, int]] = {"n": (_N, -1, 0)}
 
 
-@lru_cache(maxsize=1024)
-def _opcode(symbol: str) -> tuple[int, int]:
-    """(opcode, heap index) of a valid gene symbol; the index is -1 unless
-    the symbol is a heap terminal."""
-    if symbol in _FUNCTION_OPS:
-        return _FUNCTION_OPS[symbol], -1
-    if symbol == "n":
-        return _N, -1
-    return _HEAP, heap_ref(symbol)
+def _add_terminal(symbol: str) -> tuple[int, int, int]:
+    """Enter a valid heap terminal in `_TERMINALS` and return its
+    instruction."""
+    instruction = _TERMINALS[symbol] = (_HEAP, heap_ref(symbol), 0)
+    return instruction
 
 
 def _gene_fault(gene: Gene, pos: int) -> str | None:
@@ -171,14 +168,13 @@ def _compile(genes: tuple[Gene, ...]) -> Program:
                 for a in gene.args:
                     needed[a] = True
         else:
-            ref = _opcode(gene.symbol)[1]
+            ref = (_TERMINALS.get(gene.symbol) or _add_terminal(gene.symbol))[1]
             if ref > max_ref:
                 max_ref = ref
 
     slot = [0] * (last + 1)
     active = []
     code = []
-    tokens = []
     for pos in range(last + 1):
         if not needed[pos]:
             continue
@@ -187,18 +183,12 @@ def _compile(genes: tuple[Gene, ...]) -> Program:
         gene = genes[pos]
         args = gene.args
         if not args:
-            op, ref = _opcode(gene.symbol)
-            code.append((op, ref, 0))
-            tokens.append(gene.symbol)
+            code.append(_TERMINALS[gene.symbol])
         elif len(args) == 1:
-            x = slot[args[0]]
-            code.append((_NOT, x, 0))
-            tokens.append(f"not {x}")
+            code.append((_NOT, slot[args[0]], 0))
         else:
-            x, y = slot[args[0]], slot[args[1]]
-            code.append((_opcode(gene.symbol)[0], x, y))
-            tokens.append(f"{gene.symbol} {x} {y}")
-    return Program(max_ref, tuple(active), tuple(code), ";".join(tokens))
+            code.append((_FUNCTION_OPS[gene.symbol], slot[args[0]], slot[args[1]]))
+    return Program(max_ref, tuple(active), tuple(code))
 
 
 def max_heap_ref(chrom: Chromosome) -> int:

@@ -128,11 +128,15 @@ class GameGraph:
     and, per source, in `children` order.  Edges always strictly decrease
     the total object count.
 
-    In tuple mode that order has a closed form, which `build_graph` computes
-    without a search: a state's breadth-first level is the number of heaps
-    that differ from the root, and within a level states come in
-    lexicographic order of their per-heap scores, ``root[i] - state[i]`` for
-    a heap that differs and +infinity for one that does not.
+    In both modes that order has a closed rule, which `build_graph`
+    computes without a search.  In tuple mode a state's breadth-first level
+    is the number of heaps that differ from the root, and within a level
+    states come in lexicographic order of their per-heap scores,
+    ``root[i] - state[i]`` for a heap that differs and +infinity for one
+    that does not.  In multiset mode a state's level is the number of heaps
+    minus the size of its multiset intersection with the root, and within
+    level L + 1 states come in order of the smallest rank among their
+    parents at level L, ties going to the lexicographically larger state.
 
     The constructor keeps the arrays it is given, without copying: an int64
     ``(states, heaps)`` heap matrix and int64 edge arrays.
@@ -163,8 +167,9 @@ class GameGraph:
 
 def build_graph(root, mode: StateSpaceMode) -> GameGraph:
     """Every state reachable from the canonicalized root, with its edges, in
-    the order `GameGraph` describes: from numpy index arithmetic in tuple
-    mode, by a breadth-first closure of `children` in multiset mode."""
+    the breadth-first order `GameGraph` describes, computed with numpy and
+    no search: by index arithmetic on the box in tuple mode, and by ranking
+    each level from the ranks of the level above in multiset mode."""
     start = canonicalize(root, mode)
     if mode is StateSpaceMode.TUPLE:
         return _tuple_graph(start)
@@ -213,24 +218,100 @@ def _tuple_graph(start: GameState) -> GameGraph:
 
 
 def _multiset_graph(start: GameState) -> GameGraph:
-    """Breadth-first closure of `children`, with states merged by canonical
-    identity."""
-    mode = StateSpaceMode.MULTISET
-    nodes: list[GameState] = [start]
-    index: dict[GameState, int] = {start: 0}
-    edge_src: list[int] = []
-    edge_dst: list[int] = []
+    """The non-increasing states bounded by the sorted root, in breadth-first
+    order, with no search.
 
-    cursor = 0
-    while cursor < len(nodes):
-        for child in children(nodes[cursor], mode):
-            j = index.get(child)
-            if j is None:
-                j = len(nodes)
-                index[child] = j
-                nodes.append(child)
-            edge_src.append(cursor)
-            edge_dst.append(j)
-        cursor += 1
-    heap_matrix = np.array(nodes, dtype=np.int64).reshape(len(nodes), len(start))
-    return GameGraph(start, mode, heap_matrix, np.array(edge_src, dtype=np.int64), np.array(edge_dst, dtype=np.int64))
+    A state's code is its lexicographic rank, the sum over columns t of
+    ``offset[t][state[t]]``: the number of valid states that agree with it
+    before column t and hold less in column t.  A state's edges come from
+    lowering one of its distinct positive heaps, smallest heap first and
+    the remainder descending, which is `children` order; one row sort puts
+    each child back in canonical order.  Level by level, each new state is
+    ranked by the smallest rank among its parents on the level before, then
+    by code descending; the edges then follow their sources' new order."""
+    k = len(start)
+    value_type = np.min_scalar_type(max(start, default=0))
+    # offset[t][v] = sum of ways[u] for u < v, where ways[u] counts the
+    # valid tails from column t on that hold u in column t
+    offset = [None] * k
+    ways, below = np.ones(1, dtype=np.int64), 0
+    for t in reversed(range(k)):
+        ways = np.cumsum(ways)[np.minimum(np.arange(start[t] + 1), below)]
+        offset[t], below = np.cumsum(ways) - ways, start[t]
+    size = int(ways.sum())
+
+    # the states column by column in lexicographic order, so row i has code i
+    columns = [np.arange(start[0] + 1, dtype=value_type)] if k else []
+    for bound in start[1:]:
+        counts = np.minimum(columns[-1], bound).astype(np.int64) + 1
+        ends = np.cumsum(counts)
+        columns = [np.repeat(c, counts) for c in columns]
+        columns.append((np.arange(ends[-1]) - np.repeat(ends - counts, counts)).astype(value_type))
+    # each state's heaps smallest first
+    ascending = np.stack(columns[::-1], axis=1) if k else np.zeros((1, 0), dtype=value_type)
+    del columns
+
+    # one edge group per (state, first column of a positive value), ascending
+    first = np.ones(ascending.shape, dtype=bool)
+    first[:, 1:] = ascending[:, 1:] != ascending[:, :-1]
+    group_size = np.where(first, ascending, 0).ravel()
+    del first
+    n_edges = int(group_size.sum(dtype=np.int64))
+    # every code is below the node count, at most one more than the edge
+    # count, so the per-edge temporaries fit the type of the latter
+    narrow = np.int32 if n_edges < 2**31 else np.int64
+    group_size = group_size.astype(narrow)
+    out_degree = group_size.reshape(size, k).sum(axis=1, dtype=narrow)
+    rows = np.repeat(ascending, out_degree, axis=0)
+    column = np.repeat(np.tile(np.arange(k, dtype=np.min_scalar_type(k)), size), group_size)
+    remainder = np.repeat(np.cumsum(group_size, dtype=narrow), group_size)  # remainders descend to 0
+    del group_size
+    remainder -= np.arange(1, n_edges + 1, dtype=narrow)
+    rows[np.arange(n_edges, dtype=narrow), column] = remainder
+    del column, remainder
+    rows.sort(axis=1)
+    child = np.zeros(n_edges, dtype=narrow)
+    for t in range(k):
+        child += offset[t].astype(narrow)[rows[:, k - 1 - t]]
+    del rows
+
+    states = ascending[:, ::-1]
+    # a state's level is k minus its multiset intersection with the root
+    level = np.full(size, k, dtype=np.min_scalar_type(k + 1))
+    for h, m in zip(*np.unique(start, return_counts=True)):
+        level -= np.minimum(np.count_nonzero(states == h, axis=1), m).astype(level.dtype)
+    source = np.repeat(np.arange(size, dtype=narrow), out_degree)
+    forward = level[child] > np.repeat(level, out_degree)  # to the next level
+    parent, child_forward = source[forward], child[forward]
+    del source, forward
+    parent_level = level[parent]
+    by_level = np.split(np.argsort(parent_level, kind="stable"), np.cumsum(np.bincount(parent_level, minlength=k))[:-1])
+    del parent_level
+    rank = np.empty(size, dtype=np.int64)  # code -> node id
+    rank[-1] = 0  # the root is the largest state
+    best = np.full(size, size, dtype=np.int64)  # smallest rank among the parents
+    order = [np.array([size - 1])]  # node id -> code, level by level
+    ranked = 1
+    for lv, edges in enumerate(by_level):
+        np.minimum.at(best, child_forward[edges], rank[parent[edges]])
+        codes = np.flatnonzero(level == lv + 1)[::-1]
+        codes = codes[np.argsort(best[codes], kind="stable")]
+        rank[codes] = np.arange(ranked, ranked + len(codes))
+        ranked += len(codes)
+        order.append(codes)
+    del parent, child_forward, by_level, best, level
+    order = np.concatenate(order)
+
+    heap_matrix = states[order].astype(np.int64)
+    del states, ascending
+    first_edge = np.cumsum(out_degree, dtype=narrow) - out_degree
+    out_degree = out_degree[order]
+    moved = first_edge[order] - (np.cumsum(out_degree, dtype=narrow) - out_degree)
+    del first_edge
+    position = np.arange(n_edges, dtype=narrow)
+    position += np.repeat(moved, out_degree)
+    del moved
+    edge_dst = rank[child[position]]
+    del child, position
+    edge_src = np.repeat(np.arange(size), out_degree)
+    return GameGraph(start, StateSpaceMode.MULTISET, heap_matrix, edge_src, edge_dst)

@@ -2,8 +2,8 @@
 
 The scalar `evaluate` loop is the reference for the vectorized
 `evaluate_many`; the validating public constructor is the reference for the
-trusted path the variation operators use; and chromosomes that share a
-canonical program key must be indistinguishable to every evaluator.
+trusted path the variation operators use; and chromosomes that compile to
+the same program code must be indistinguishable to every evaluator.
 """
 
 import random
@@ -125,7 +125,7 @@ def test_equal_keys_evaluate_and_score_identically(graphs_4, lineage, seed):
     rng = random.Random(seed)
     for c in chromosomes:
         twin = with_introns(c, 4, rng)
-        assert twin.program.key == c.program.key
+        assert twin.program.code == c.program.code
         for graph in graphs_4:
             try:
                 expected = evaluate_many(c, graph.heap_matrix, 4).tolist()
@@ -140,10 +140,10 @@ def test_equal_keys_evaluate_and_score_identically(graphs_4, lineage, seed):
 def test_key_ignores_position_but_not_program():
     base = chrom("a1", "a2", ("xor", 1, 2))
     spread = chrom("a3", "a1", ("div", 1, 1), "a2", ("xor", 2, 4))
-    assert base.program.key == spread.program.key
-    assert chrom("a2", "a1", ("xor", 1, 2)).program.key != base.program.key
-    assert chrom("a1", "a2", ("xor", 2, 1)).program.key != base.program.key
-    assert chrom("a1", "a2", ("or", 1, 2)).program.key != base.program.key
+    assert base.program.code == spread.program.code
+    assert chrom("a2", "a1", ("xor", 1, 2)).program.code != base.program.code
+    assert chrom("a1", "a2", ("xor", 2, 1)).program.code != base.program.code
+    assert chrom("a1", "a2", ("or", 1, 2)).program.code != base.program.code
 
 
 @settings(deadline=None)
@@ -163,7 +163,7 @@ def test_evolve_scores_each_distinct_program_once(monkeypatch):
     scored = []
 
     def recording_fitness(c, graph):
-        scored.append(c.program.key)
+        scored.append(c.program.code)
         return graph_fitness(c, graph)
 
     monkeypatch.setattr(evolution, "graph_fitness", recording_fitness)

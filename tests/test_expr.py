@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chrom, worked_example, xor3_minus_a4
 from mepnim.expr import (
@@ -14,6 +16,7 @@ from mepnim.expr import (
     evaluate,
     evaluate_many,
     format_chromosome,
+    max_heap_ref,
     parse_chromosome,
 )
 from mepnim.genetics import random_chromosome
@@ -165,6 +168,23 @@ class TestTextFormat:
         for _ in range(200):
             c = random_chromosome(rng.randint(1, 20), rng.randint(1, 6), rng)
             assert parse_chromosome(format_chromosome(c)) == c
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 20),
+        st.integers(1, 6),
+        st.floats(0.0, 1.0),
+        st.integers(0, 8),
+    )
+    def test_round_trip_property(self, seed, length, n_heaps, function_prob, spare):
+        c = random_chromosome(length, n_heaps, random.Random(seed), function_prob)
+        assert parse_chromosome(format_chromosome(c)) == c
+        # any declared heap count from the largest referenced heap up
+        # (at least 1, the smallest valid header) reads back the same genes
+        lowest = max(max_heap_ref(c) + 1, 1)
+        for heaps in (lowest, lowest + spare):
+            assert parse_chromosome(format_chromosome(c, heaps=heaps)) == c
 
     def test_whitespace_normalization(self):
         messy = "  1:   a1 \n\n 2: a2\n3:  xor  1   2  \n"

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import accumulate, permutations
 
 import numpy as np
@@ -205,20 +206,54 @@ def reference_bfs(root, mode):
     return nodes, src, dst
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(0, 4), min_size=0, max_size=6))
-@example([]).via("no heaps")
-@example([0, 0, 0]).via("all-zero root")
-@example([4, 0, 3, 0, 1, 4]).via("zero heaps between")
-def test_tuple_graph_equals_reference_bfs(root):
-    graph = build_graph(root, TUPLE)
-    nodes, src, dst = reference_bfs(root, TUPLE)
+def assert_equals_reference_bfs(root, mode):
+    graph = build_graph(root, mode)
+    nodes, src, dst = reference_bfs(root, mode)
     assert graph.nodes == tuple(nodes)
     assert graph.heap_matrix.dtype == np.int64
     assert graph.heap_matrix.shape == (len(nodes), len(root))
     assert graph.heap_matrix.tolist() == [list(s) for s in nodes]
     assert graph.edge_src.tolist() == src
     assert graph.edge_dst.tolist() == dst
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=0, max_size=6))
+@example([]).via("no heaps")
+@example([0, 0, 0]).via("all-zero root")
+@example([4, 0, 3, 0, 1, 4]).via("zero heaps between")
+def test_tuple_graph_equals_reference_bfs(root):
+    assert_equals_reference_bfs(root, TUPLE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=0, max_size=6))
+@example([]).via("no heaps")
+@example([0, 0, 0]).via("all-zero root")
+@example([5]).via("one heap")
+@example([3, 3, 3, 3]).via("equal heaps")
+@example([4, 0, 3, 0, 1, 4]).via("zero heaps between")
+def test_multiset_graph_equals_reference_bfs(root):
+    assert_equals_reference_bfs(root, MULTISET)
+
+
+@pytest.mark.parametrize("root", [(9,) * 6, (12, 10, 7, 7, 3, 1)])
+def test_large_multiset_graph_equals_reference_bfs(root):
+    assert_equals_reference_bfs(root, MULTISET)
+
+
+def test_multiset_build_peak_memory():
+    # 5,005 states and 90,090 edges; the breadth-first search this builder
+    # replaced peaked at 4.7 MB, and the kept arrays and node tuples take
+    # about 2.2 MB
+    build_graph((2, 2), MULTISET)  # first-call allocations are not the builder's
+    tracemalloc.start()
+    try:
+        build_graph((9,) * 6, MULTISET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 10**6
 
 
 @settings(max_examples=80, deadline=None)
