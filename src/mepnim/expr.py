@@ -82,6 +82,10 @@ _N = len(FUNCTIONS)
 _HEAP = _N + 1
 # terminal symbol -> its instruction; heap terminals are added on first use
 _TERMINALS: dict[str, tuple[int, int, int]] = {"n": (_N, -1, 0)}
+# one shared copy of each operator instruction compiled so far, so that the
+# programs a fitness cache keeps hold no copies of their own; there are at
+# most len(FUNCTIONS) * L * L of them for chromosomes of length L
+_OPERATORS: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
 
 def _add_terminal(symbol: str) -> tuple[int, int, int]:
@@ -184,10 +188,10 @@ def _compile(genes: tuple[Gene, ...]) -> Program:
         args = gene.args
         if not args:
             code.append(_TERMINALS[gene.symbol])
-        elif len(args) == 1:
-            code.append((_NOT, slot[args[0]], 0))
-        else:
-            code.append((_FUNCTION_OPS[gene.symbol], slot[args[0]], slot[args[1]]))
+            continue
+        x = slot[args[0]]
+        instruction = (_NOT, x, 0) if len(args) == 1 else (_FUNCTION_OPS[gene.symbol], x, slot[args[1]])
+        code.append(_OPERATORS.setdefault(instruction, instruction))
     return Program(max_ref, tuple(active), tuple(code))
 
 

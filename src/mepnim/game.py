@@ -8,6 +8,7 @@ state (stored sorted non-increasing), ``TUPLE`` keeps heap order positional.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -278,28 +279,27 @@ def _multiset_graph(start: GameState) -> GameGraph:
     states = ascending[:, ::-1]
     # a state's level is k minus its multiset intersection with the root
     level = np.full(size, k, dtype=np.min_scalar_type(k + 1))
-    for h, m in zip(*np.unique(start, return_counts=True)):
+    for h, m in Counter(start).items():
         level -= np.minimum(np.count_nonzero(states == h, axis=1), m).astype(level.dtype)
     source = np.repeat(np.arange(size, dtype=narrow), out_degree)
     forward = level[child] > np.repeat(level, out_degree)  # to the next level
     parent, child_forward = source[forward], child[forward]
     del source, forward
     parent_level = level[parent]
-    by_level = np.split(np.argsort(parent_level, kind="stable"), np.cumsum(np.bincount(parent_level, minlength=k))[:-1])
-    del parent_level
     rank = np.empty(size, dtype=np.int64)  # code -> node id
     rank[-1] = 0  # the root is the largest state
     best = np.full(size, size, dtype=np.int64)  # smallest rank among the parents
     order = [np.array([size - 1])]  # node id -> code, level by level
     ranked = 1
-    for lv, edges in enumerate(by_level):
+    for lv in range(k):
+        edges = parent_level == lv
         np.minimum.at(best, child_forward[edges], rank[parent[edges]])
         codes = np.flatnonzero(level == lv + 1)[::-1]
         codes = codes[np.argsort(best[codes], kind="stable")]
         rank[codes] = np.arange(ranked, ranked + len(codes))
         ranked += len(codes)
         order.append(codes)
-    del parent, child_forward, by_level, best, level
+    del parent, child_forward, parent_level, best, level
     order = np.concatenate(order)
 
     heap_matrix = states[order].astype(np.int64)
