@@ -241,16 +241,22 @@ def _multiset_graph(start: GameState) -> GameGraph:
         offset[t], below = np.cumsum(ways) - ways, start[t]
     size = int(ways.sum())
 
-    # the states column by column in lexicographic order, so row i has code i
-    columns = [np.arange(start[0] + 1, dtype=value_type)] if k else []
+    # the valid prefixes of each length in lexicographic order, each with
+    # the index of its prefix one shorter; the full ones are the states, in
+    # code order
+    values, prefix = [np.arange(start[0] + 1)] if k else [], []
     for bound in start[1:]:
-        counts = np.minimum(columns[-1], bound).astype(np.int64) + 1
+        counts = np.minimum(values[-1], bound) + 1
         ends = np.cumsum(counts)
-        columns = [np.repeat(c, counts) for c in columns]
-        columns.append((np.arange(ends[-1]) - np.repeat(ends - counts, counts)).astype(value_type))
-    # each state's heaps smallest first
-    ascending = np.stack(columns[::-1], axis=1) if k else np.zeros((1, 0), dtype=value_type)
-    del columns
+        prefix.append(np.repeat(np.arange(len(counts)), counts))
+        values.append(np.arange(ends[-1]) - np.repeat(ends - counts, counts))
+    ascending = np.empty((size, k), dtype=value_type)  # each state's heaps smallest first
+    index = np.arange(size)
+    for t in reversed(range(k)):
+        ascending[:, k - 1 - t] = values[t][index]
+        if t:
+            index = prefix[t - 1][index]
+    del values, prefix, index
 
     # one edge group per (state, first column of a positive value), ascending
     first = np.ones(ascending.shape, dtype=bool)
