@@ -170,7 +170,7 @@ def build_graph(root, mode: StateSpaceMode) -> GameGraph:
     """Every state reachable from the canonicalized root, with its edges, in
     the breadth-first order `GameGraph` describes, computed with numpy and
     no search: by index arithmetic on the box in tuple mode, and by ranking
-    each level from the ranks of the level above in multiset mode."""
+    each level from the ranks of the level before in multiset mode."""
     start = canonicalize(root, mode)
     if mode is StateSpaceMode.TUPLE:
         return _tuple_graph(start)

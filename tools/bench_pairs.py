@@ -88,8 +88,8 @@ def main(argv=None) -> int:
         "command": spec["command"],
         "run_seconds": spec["run_seconds"],
         "revisions": {side: revision(checkouts[side]) for side in SIDES},
-        "environments": [],
         "workloads": {},
+        "environments": [],
     }
     for workload in workloads:
         results = {side: [] for side in SIDES}
