@@ -30,7 +30,7 @@ from .expr import (
 from .fitness import INVALID, graph_fitness
 from .game import StateSpaceMode, build_graph, canonicalize, state_count
 from .genetics import OperatorConfig
-from .oracle import retrograde_labels, verify_formula
+from .oracle import retrograde_p_mask, verify_formula
 from .play import (
     classifier_strategy,
     formula_classifier,
@@ -46,6 +46,11 @@ EXIT_EXHAUSTED = 3
 EXIT_VERIFY_FAILED = 4
 
 DEFAULT_MAX_STATES = 1_000_000
+#: Heap-matrix cells (states times heaps) a game may have per state that
+#: --max-states allows: enough for (9,)*6 and (1,)*19 tuple games, and it
+#: refuses many small heaps, whose state count alone passes, before their
+#: heap matrix is allocated.
+CELLS_PER_STATE = 16
 
 
 class UsageError(Exception):
@@ -134,7 +139,8 @@ SETTINGS = (
     Setting("games", _COUNT, "number of games", {"play": 1}),
     Setting("out", _FILE, "output path: the formula (evolve) or the CSV (experiment)",
             {"evolve": Path("best.mep"), "experiment": Path("results.csv")}, echo=False),
-    Setting("max-states", _COUNT, "refuse, before building it, a game with more states",
+    Setting("max-states", _COUNT, "refuse, before building it, a game with more states"
+            f" or more than {CELLS_PER_STATE} times as many heap cells",
             dict.fromkeys(COMMANDS, DEFAULT_MAX_STATES), echo=False),
 )
 
@@ -215,17 +221,26 @@ def _write_file(path: Path, text: str) -> None:
 
 
 def _check_size(args, heaps) -> None:
-    """Refuse a game with more states than --max-states before anything is
-    built.  Every game has at least 1 + sum(heaps) states, so a game that
-    fails that test is refused without counting its states."""
+    """Refuse, before anything is built, a game with more states than
+    --max-states, or with more heap-matrix cells (states times heaps) than
+    `CELLS_PER_STATE` times --max-states.  Every game has at least
+    1 + sum(heaps) states, so a game that fails on that count is refused
+    without counting its states."""
     limit, mode = args.max_states, args.state_space
-    if sum(heaps) >= limit:
-        count = f"at least {sum(heaps) + 1}"
-    else:
+    cells = CELLS_PER_STATE * limit
+    count = sum(heaps) + 1
+    if count <= limit and count * len(heaps) <= cells:
         count = state_count(heaps, mode)
-        if count <= limit:
-            return
-    raise UsageError(f"heaps {_fmt(heaps)} give {count} {mode.value} states, more than --max-states {limit}")
+        shown = str(count)
+    else:
+        shown = f"at least {count}"
+    if count > limit:
+        raise UsageError(f"heaps {_fmt(heaps)} give {shown} {mode.value} states, more than --max-states {limit}")
+    if count * len(heaps) > cells:
+        raise UsageError(
+            f"heaps {_fmt(heaps)} give {shown} {mode.value} states of {len(heaps)} heaps, more than {cells}"
+            f" heap cells ({CELLS_PER_STATE} times --max-states {limit})"
+        )
 
 
 def _build(args, heaps):
@@ -303,9 +318,8 @@ def _cmd_fitness(args) -> int:
 def _cmd_oracle(args) -> int:
     """print the ground-truth P/N table"""
     graph = _build(args, args.heaps)
-    labels = retrograde_labels(graph)
-    for state in graph.nodes:
-        print(f"{_state_text(state)}: {labels[state].value}")
+    for state, is_p in zip(graph.nodes, retrograde_p_mask(graph).tolist()):
+        print(f"{_state_text(state)}: {'P' if is_p else 'N'}")
     return EXIT_OK
 
 
@@ -323,10 +337,13 @@ def _cmd_verify(args) -> int:
         print(f"formula agrees with the oracle on all {graph.num_nodes} states")
         return EXIT_OK
     print(f"formula disagrees with the oracle on {len(result.disagreements)} of {graph.num_nodes} states:")
-    labels = retrograde_labels(graph)
-    for state in result.disagreements:
-        flipped = "N" if labels[state].value == "P" else "P"
-        print(f"  {_state_text(state)}: formula={flipped} oracle={labels[state].value}")
+    # the disagreements come in node order, so one pass over the nodes
+    # meets them in the order they are listed
+    wrong = set(result.disagreements)
+    for state, is_p in zip(graph.nodes, retrograde_p_mask(graph).tolist()):
+        if state in wrong:
+            formula, oracle = ("N", "P") if is_p else ("P", "N")
+            print(f"  {_state_text(state)}: formula={formula} oracle={oracle}")
     return EXIT_VERIFY_FAILED
 
 

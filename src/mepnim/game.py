@@ -140,7 +140,11 @@ class GameGraph:
     parents at level L, ties going to the lexicographically larger state.
 
     The constructor keeps the arrays it is given, without copying: an int64
-    ``(states, heaps)`` heap matrix and int64 edge arrays.
+    ``(states, heaps)`` heap matrix and int64 edge arrays.  It marks them
+    read-only, together with ``terminal_mask``, so a view handed out of the
+    graph (such as a heap column that `evaluate_many` returns) cannot
+    change it, and `oracle.retrograde_p_mask` can keep its labeling on the
+    graph.
     """
 
     def __init__(self, root: GameState, mode: StateSpaceMode, heap_matrix: np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray):
@@ -156,6 +160,8 @@ class GameGraph:
         self.edge_src = edge_src
         self.edge_dst = edge_dst
         self.terminal_mask = ~heap_matrix.any(axis=1)
+        for array in (heap_matrix, edge_src, edge_dst, self.terminal_mask):
+            array.flags.writeable = False
 
     @property
     def num_nodes(self) -> int:

@@ -378,6 +378,17 @@ class TestBadSettings:
         assert time.perf_counter() - t0 < 0.5
         self.assert_usage_error(code, capsys, "at least 1000000004 multiset states")
 
+    def test_many_small_heaps_refused_by_their_cells(self, tmp_path, capsys):
+        # 100,001 multiset states pass the state bound, but their heap matrix
+        # would hold 100,001 x 100,000 int64 cells
+        out = tmp_path / "out.mep"
+        t0 = time.perf_counter()
+        code = main(["evolve", "--heaps", ",".join(["1"] * 100_000), "--out", str(out)])
+        assert time.perf_counter() - t0 < 0.5
+        self.assert_usage_error(code, capsys, "at least 100001 multiset states of 100000 heaps",
+                                "16000000 heap cells", "--max-states 1000000")
+        assert list(tmp_path.iterdir()) == []
+
     def test_max_states_below_one(self, capsys):
         self.assert_usage_error(main(["oracle", "--heaps", "2,1", "--max-states", "0"]), capsys, "--max-states")
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mepnim.expr import Chromosome, Gene, evaluate_many
 from mepnim.game import (
     StateSpaceMode,
     build_graph,
@@ -181,6 +182,19 @@ class TestBuildGraph:
                 graph = build_graph(random_state(rng, mode), mode)
                 terminals = [s for s in graph.nodes if is_terminal(s)]
                 assert len(terminals) == 1
+
+    @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
+    def test_graph_arrays_are_read_only(self, mode):
+        graph = build_graph((3, 2, 1), mode)
+        for array in (graph.heap_matrix, graph.edge_src, graph.edge_dst, graph.terminal_mask):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        # a formula that is one heap returns a view of that heap's column
+        column = evaluate_many(Chromosome((Gene("a1"),)), graph.heap_matrix)
+        assert np.shares_memory(column, graph.heap_matrix)
+        with pytest.raises(ValueError):
+            column[0] = 1
+        assert graph.heap_matrix[0].tolist() == list(graph.root)
 
     def test_determinism(self):
         a = build_graph((3, 2, 1), MULTISET)

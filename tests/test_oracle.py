@@ -13,6 +13,7 @@ from mepnim.fitness import Label, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph, is_terminal
 from mepnim.genetics import random_chromosome
 from mepnim.oracle import bouton_label, retrograde_labels, retrograde_p_mask, verify_formula
+from mepnim.play import oracle_classifier
 
 MULTISET = StateSpaceMode.MULTISET
 TUPLE = StateSpaceMode.TUPLE
@@ -130,20 +131,36 @@ def small_roots(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_roots(), st.sampled_from([0, oracle.SORT_ALL_BYTES]))
-def test_retrograde_mask_equals_xor_rule(case, sort_all_bytes):
+@given(small_roots())
+def test_retrograde_mask_equals_xor_rule(case):
     # Bouton (1901): a Nim position is P exactly when its heaps xor to 0.
-    # A limit of 0 takes the per-level edge ranges that large graphs use.
     mode, root = case
     graph = build_graph(root, mode)
-    with patch.object(oracle, "SORT_ALL_BYTES", sort_all_bytes):
-        mask = retrograde_p_mask(graph)
+    mask = retrograde_p_mask(graph)
     assert mask.dtype == bool
     assert np.array_equal(mask, np.bitwise_xor.reduce(graph.heap_matrix, axis=1) == 0)
 
 
 @pytest.mark.parametrize("root,mode", [((7, 7, 7, 7, 7), TUPLE), ((9, 9, 9, 9, 9, 9), MULTISET)])
 def test_retrograde_mask_on_graphs_above_the_sort_limit(root, mode):
+    # the two graphs of the benchmark's large-games workload
     graph = build_graph(root, mode)
-    assert graph.num_edges * 8 > oracle.SORT_ALL_BYTES
     assert np.array_equal(retrograde_p_mask(graph), np.bitwise_xor.reduce(graph.heap_matrix, axis=1) == 0)
+
+
+def test_graph_is_labeled_once():
+    graph = build_graph((4, 4, 4, 4), MULTISET)
+    # one np.bincount call per level walk, and nothing else here calls it
+    with patch.object(oracle.np, "bincount", wraps=np.bincount) as level_walk:
+        mask = retrograde_p_mask(graph)
+        for _ in range(3):
+            assert verify_formula(xor3_minus_a4(), graph).agrees
+            assert not verify_formula(xor_chain(3), graph).agrees
+        labels = retrograde_labels(graph)
+        classify = oracle_classifier(graph)
+        assert retrograde_p_mask(graph) is mask
+    assert level_walk.call_count == 1
+    assert labels == {state: classify(state) for state in graph.nodes}
+    assert [labels[state] is Label.P for state in graph.nodes] == mask.tolist()
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]

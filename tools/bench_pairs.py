@@ -79,6 +79,8 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: the quartiles need two runs per side")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
