@@ -55,13 +55,38 @@ def graph_fitness(chrom: Chromosome, graph: GameGraph) -> tuple[int | float, Fit
         return INVALID, None
 
     p = values == 0
-    p_dst = p[graph.edge_dst]
-    rule_i = int(np.count_nonzero(p[graph.edge_src] & p_dst))
-
-    has_p_child = np.zeros(graph.num_nodes, dtype=bool)
-    has_p_child[graph.edge_src[p_dst]] = True
-    rule_ii = int(np.count_nonzero(~p & ~graph.terminal_mask & ~has_p_child))
-    rule_iii = int(np.count_nonzero(~p & graph.terminal_mask))
+    if graph.box_id is not None:
+        rule_i, rule_ii, rule_iii = _box_violations(p, graph)
+    else:
+        p_dst = p[graph.edge_dst]
+        rule_i = int(np.count_nonzero(p[graph.edge_src] & p_dst))
+        has_p_child = np.zeros(graph.num_nodes, dtype=bool)
+        has_p_child[graph.edge_src[p_dst]] = True
+        rule_ii = int(np.count_nonzero(~p & ~graph.terminal_mask & ~has_p_child))
+        rule_iii = int(np.count_nonzero(~p & graph.terminal_mask))
 
     breakdown = FitnessBreakdown(rule_i, rule_ii, rule_iii)
     return breakdown.total, breakdown
+
+
+def _box_violations(p: np.ndarray, graph: GameGraph) -> tuple[int, int, int]:
+    """The three rule counts of a tuple graph, on its box and with no edges.
+
+    Along heap i, the inclusive cumulative sum of the P-mask in box order
+    counts the P states among v - t e_i for t = 0..v_i, so its sum over the
+    heaps, s[v], is the number of P children of v plus n p[v].  Then rule i
+    is the sum of s over the P states minus n |P|; with n >= 1, s[v] is 0
+    exactly when v is N and has no P child, which is rule ii, or rule iii
+    when v is the terminal (box code 0)."""
+    n = graph.n_heaps
+    rule_iii = int(not p[graph.box_id[0]])
+    if not n:  # the terminal alone
+        return 0, 0, rule_iii
+    p_box = p[graph.box_id].reshape(graph.box_shape)
+    count_type = np.min_scalar_type(sum(graph.box_shape))  # s[v] <= sum(v) + n
+    s = np.cumsum(p_box, axis=0, dtype=count_type)
+    for axis in range(1, n):
+        s += np.cumsum(p_box, axis=axis, dtype=count_type)
+    rule_i = int(s[p_box].sum()) - n * int(np.count_nonzero(p))
+    rule_ii = int(np.count_nonzero(s == 0)) - rule_iii
+    return rule_i, rule_ii, rule_iii

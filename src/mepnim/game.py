@@ -11,6 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -124,10 +125,10 @@ class GameGraph:
     Built once by `build_graph`, then immutable; safe to share across
     threads.  Nodes are listed in breadth-first discovery order from the
     root and are referred to by their index in that order; row k of
-    ``heap_matrix`` (int64) is node k.  Edge k leads from node
-    ``edge_src[k]`` to node ``edge_dst[k]``, grouped by source in node order
-    and, per source, in `children` order.  Edges always strictly decrease
-    the total object count.
+    ``heap_matrix`` (int64) is node k, and ``nodes[k]`` is that row as a
+    state.  Edge k leads from node ``edge_src[k]`` to node ``edge_dst[k]``,
+    grouped by source in node order and, per source, in `children` order.
+    Edges always strictly decrease the total object count.
 
     In both modes that order has a closed rule, which `build_graph`
     computes without a search.  In tuple mode a state's breadth-first level
@@ -139,44 +140,87 @@ class GameGraph:
     level L + 1 states come in order of the smallest rank among their
     parents at level L, ties going to the lexicographically larger state.
 
+    A tuple graph keeps no edge list.  Its states are the whole box of
+    shape ``box_shape`` (h + 1 per heap); a state's box code is its
+    mixed-radix index, the sum of ``state[i] * box_strides[i]`` (last heap
+    fastest), and ``box_id`` maps each box code to its node id.  The
+    children of a state are the states ``t * box_strides[i]`` codes below
+    it, so fitness and labeling work on the box, and the edge arrays are
+    built by index arithmetic only when ``edge_src`` or ``edge_dst`` is
+    first read.  A multiset graph keeps the edge arrays it is given, and
+    has None for the three box attributes.  ``nodes`` and
+    ``terminal_mask`` are likewise built on first access.
+
     The constructor keeps the arrays it is given, without copying: an int64
     ``(states, heaps)`` heap matrix and int64 edge arrays.  It marks them
-    read-only, together with ``terminal_mask``, so a view handed out of the
-    graph (such as a heap column that `evaluate_many` returns) cannot
-    change it, and `oracle.retrograde_p_mask` can keep its labeling on the
-    graph.
+    read-only, as it does every array it builds later, so a view handed out
+    of the graph (such as a heap column that `evaluate_many` returns)
+    cannot change it, and `oracle.retrograde_p_mask` can keep its labeling
+    on the graph.
     """
 
-    def __init__(self, root: GameState, mode: StateSpaceMode, heap_matrix: np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray):
+    def __init__(self, root: GameState, mode: StateSpaceMode, heap_matrix: np.ndarray, edge_src: np.ndarray | None = None, edge_dst: np.ndarray | None = None, box_id: np.ndarray | None = None):
         self.root = root
         self.mode = mode
         self.n_heaps = len(root)
-        self.heap_matrix = heap_matrix
+        self.heap_matrix = _read_only(heap_matrix)
+        self.box_shape = self.box_strides = self.box_id = None
+        if box_id is not None:
+            self.box_shape = tuple(h + 1 for h in root)
+            self.box_strides = tuple(math.prod(self.box_shape[i + 1 :]) for i in range(self.n_heaps))
+            self.box_id = _read_only(box_id)
+        else:
+            self._edges = (_read_only(edge_src), _read_only(edge_dst))
+
+    @cached_property
+    def nodes(self) -> tuple[GameState, ...]:
         # zipping the columns makes the row tuples without a list per row,
         # which would fragment the small-object heap; no heaps means no columns
-        self.nodes: tuple[GameState, ...] = (
-            tuple(zip(*heap_matrix.T.tolist())) if self.n_heaps else ((),) * len(heap_matrix)
-        )
-        self.edge_src = edge_src
-        self.edge_dst = edge_dst
-        self.terminal_mask = ~heap_matrix.any(axis=1)
-        for array in (heap_matrix, edge_src, edge_dst, self.terminal_mask):
-            array.flags.writeable = False
+        if not self.n_heaps:
+            return ((),) * len(self.heap_matrix)
+        return tuple(zip(*self.heap_matrix.T.tolist()))
+
+    @cached_property
+    def terminal_mask(self) -> np.ndarray:
+        return _read_only(~self.heap_matrix.any(axis=1))
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        # reached only in tuple mode: a multiset graph sets it on construction
+        return tuple(map(_read_only, _tuple_edges(self)))
+
+    @property
+    def edge_src(self) -> np.ndarray:
+        return self._edges[0]
+
+    @property
+    def edge_dst(self) -> np.ndarray:
+        return self._edges[1]
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.heap_matrix)
 
     @property
     def num_edges(self) -> int:
+        if self.box_id is not None:
+            # heap i holds each value v <= h_i in prod(h + 1) / (h_i + 1)
+            # states, so the box has prod(h + 1) * h_i / 2 moves on heap i
+            return len(self.heap_matrix) * sum(self.root) // 2
         return len(self.edge_src)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def build_graph(root, mode: StateSpaceMode) -> GameGraph:
-    """Every state reachable from the canonicalized root, with its edges, in
-    the breadth-first order `GameGraph` describes, computed with numpy and
-    no search: by index arithmetic on the box in tuple mode, and by ranking
-    each level from the ranks of the level before in multiset mode."""
+    """Every state reachable from the canonicalized root, in the
+    breadth-first order `GameGraph` describes, computed with numpy and no
+    search: by sorting the box in tuple mode, and by ranking each level
+    from the ranks of the level before in multiset mode, where the edges
+    are built too."""
     start = canonicalize(root, mode)
     if mode is StateSpaceMode.TUPLE:
         return _tuple_graph(start)
@@ -185,26 +229,33 @@ def build_graph(root, mode: StateSpaceMode) -> GameGraph:
 
 def _tuple_graph(start: GameState) -> GameGraph:
     """The box prod(h + 1) of tuple states in breadth-first order, with no
-    search.  A state's box code is its mixed-radix index (last heap
-    fastest); its edges go heap ascending, then take ascending, which is
-    `children` order, and the child of taking t from heap i has code
-    ``code - t * stride[i]``."""
+    search and no edges: the heap matrix and the node id of each box code
+    (a state's mixed-radix index, last heap fastest)."""
     n = len(start)
     dims = tuple(h + 1 for h in start)
     size = math.prod(dims)
-    box = np.indices(dims, dtype=np.int64).reshape(n, size)  # box[i, code]: heap i of that state
-    root = np.array(start, dtype=np.int64).reshape(n, 1)
+    value_type = np.min_scalar_type(max(start, default=0))
+    box = np.indices(dims, dtype=value_type).reshape(n, size)  # box[i, code]: heap i of that state
+    root = np.array(start, dtype=value_type).reshape(n, 1)
     differs = box != root
     unchanged = max(start, default=0) + 1  # above every root[i] - state[i]
     scores = np.where(differs, root - box, unchanged).astype(np.min_scalar_type(unchanged))
     # lexsort's last key is the primary one: level, then heap 0, 1, ...
     order = np.lexsort((*scores[::-1], differs.sum(axis=0)))  # node id -> box code
     del differs, scores
-    heap_matrix = np.ascontiguousarray(box.T[order])
+    heap_matrix = box.T[order].astype(np.int64)
     del box
-    id_of = np.empty(size, dtype=np.int64)  # box code -> node id
-    id_of[order] = np.arange(size)
+    narrow = np.int32 if size < 2**31 else np.int64
+    box_id = np.empty(size, dtype=narrow)  # box code -> node id
+    box_id[order] = np.arange(size, dtype=narrow)
+    return GameGraph(start, StateSpaceMode.TUPLE, heap_matrix, box_id=box_id)
 
+
+def _tuple_edges(graph: GameGraph) -> tuple[np.ndarray, np.ndarray]:
+    """A tuple graph's int64 edge arrays.  Its edges go heap ascending, then
+    take ascending, which is `children` order, and the child of taking t
+    from heap i has box code ``code - t * box_strides[i]``."""
+    heap_matrix, size = graph.heap_matrix, graph.num_nodes
     counts = heap_matrix.ravel()  # per (node, heap): its edges on that heap
     out_degree = heap_matrix.sum(axis=1)
     edge_src = np.repeat(np.arange(size), out_degree)
@@ -213,15 +264,13 @@ def _tuple_graph(start: GameState) -> GameGraph:
     narrow = np.int32 if len(edge_src) < 2**31 else np.int64
     take = np.arange(1, len(edge_src) + 1, dtype=narrow)
     take -= np.repeat((np.cumsum(counts) - counts).astype(narrow), counts)  # 1..count per (node, heap)
-    strides = np.array([math.prod(dims[i + 1 :]) for i in range(n)], dtype=narrow)
+    strides = np.array(graph.box_strides, dtype=narrow)
     take *= np.repeat(np.tile(strides, size), counts)
-    code = np.repeat(order.astype(narrow), out_degree)
-    del order
+    code = np.repeat((heap_matrix @ strides.astype(np.int64)).astype(narrow), out_degree)
     code -= take
     del take
-    edge_dst = id_of[code]
-    del code, id_of
-    return GameGraph(start, StateSpaceMode.TUPLE, heap_matrix, edge_src, edge_dst)
+    edge_dst = graph.box_id[code].astype(np.int64)
+    return edge_src, edge_dst
 
 
 def _multiset_graph(start: GameState) -> GameGraph:

@@ -13,12 +13,14 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .expr import Chromosome, evaluate
 from .fitness import Label
 # `play` no longer calls `moves`, but perfbench/tracer.py wraps `play.moves`
 # by name, so the name stays importable from this module.
 from .game import GameGraph, GameState, StateSpaceMode, canonicalize, children, heap_take, is_terminal, moves
-from .oracle import retrograde_labels
+from .oracle import retrograde_labels, retrograde_p_mask
 
 Classifier = Callable[[GameState], Label]
 Strategy = Callable[[GameState], GameState]
@@ -32,8 +34,19 @@ def formula_classifier(chrom: Chromosome, n_heaps: int) -> Classifier:
 
 
 def oracle_classifier(graph: GameGraph) -> Classifier:
-    """Lookup into the retrograde labeling; only valid inside the graph."""
-    return retrograde_labels(graph).__getitem__
+    """Lookup into the retrograde labeling; only valid inside the graph.
+
+    A tuple graph is looked up by box code, with no table: a state outside
+    the box raises ValueError.  A multiset graph is looked up in a
+    state -> Label table, which raises KeyError outside the graph."""
+    if graph.box_id is None:
+        return retrograde_labels(graph).__getitem__
+    is_p, box_id, shape = retrograde_p_mask(graph), graph.box_id, graph.box_shape
+
+    def classify_state(state: GameState) -> Label:
+        return Label.P if is_p[box_id[np.ravel_multi_index(state, shape)]] else Label.N
+
+    return classify_state
 
 
 def best_move(classifier: Classifier, state: GameState, mode: StateSpaceMode) -> GameState:

@@ -12,7 +12,10 @@ the side that runs first alternates from pair to pair, and pair i uses seed
 ``first_seed + i``.  The output records, per workload and end-to-end
 metric, each side's per-pair values, median and quartiles (inclusive
 method), and the pairs the change won (ties count for neither side), with
-the failed and attempted output checks of every run.
+the failed and attempted output checks of every run.  The report is written
+after each workload.  A run that exits non-zero stops the tool: it prints
+the tail of that run's standard error, writes the report with the finished
+workloads and the current one's runs so far, and exits with status 1.
 """
 
 from __future__ import annotations
@@ -33,10 +36,24 @@ def revision(checkout: Path) -> str:
     return done.stdout.strip() if done.returncode == 0 else str(checkout)
 
 
+STDERR_TAIL = 20  # lines of a failed run's standard error to show
+
+
+class RunFailed(Exception):
+    """A benchmark run exited non-zero."""
+
+    def __init__(self, argv: list[str], returncode: int, stderr: str):
+        super().__init__(f"{' '.join(argv)} exited with status {returncode}")
+        self.returncode = returncode
+        self.stderr_tail = "\n".join(stderr.splitlines()[-STDERR_TAIL:])
+
+
 def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One untraced benchmark run: its environment line and result line."""
     argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RunFailed(argv, done.returncode, done.stderr)
     lines = done.stdout.strip().splitlines()
     return json.loads(lines[-2]), json.loads(lines[-1])
 
@@ -97,7 +114,17 @@ def main(argv=None) -> int:
         results = {side: [] for side in SIDES}
         for i, seed in enumerate(seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                env, result = run_once(checkouts[side], spec["command"], workload, seed, spec["run_seconds"])
+                try:
+                    env, result = run_once(checkouts[side], spec["command"], workload, seed, spec["run_seconds"])
+                except RunFailed as failure:
+                    print(f"{failure}; its stderr ends:\n{failure.stderr_tail}", file=sys.stderr)
+                    report["workloads"][workload] = {
+                        "failed_run": {"side": side, "seed": seed, "returncode": failure.returncode, "stderr_tail": failure.stderr_tail},
+                        "seeds": seeds[: i + 1],
+                        "results": results,
+                    }
+                    args.out.write_text(json.dumps(report, indent=1) + "\n")
+                    return 1
                 results[side].append(result)
                 report["environments"].append({"workload": workload, "side": side, **env})
                 print(workload, seed, side, {k: round(v["value"], 4) for k, v in result["metrics"].items()}, file=sys.stderr)
