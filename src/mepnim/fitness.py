@@ -84,9 +84,9 @@ def _box_violations(p: np.ndarray, graph: GameGraph) -> tuple[int, int, int]:
         return 0, 0, rule_iii
     p_box = p[graph.box_id].reshape(graph.box_shape)
     count_type = np.min_scalar_type(sum(graph.box_shape))  # s[v] <= sum(v) + n
-    s = np.cumsum(p_box, axis=0, dtype=count_type)
+    s = p_box.cumsum(axis=0, dtype=count_type)
     for axis in range(1, n):
-        s += np.cumsum(p_box, axis=axis, dtype=count_type)
+        s += p_box.cumsum(axis=axis, dtype=count_type)
     rule_i = int(s[p_box].sum()) - n * int(np.count_nonzero(p))
-    rule_ii = int(np.count_nonzero(s == 0)) - rule_iii
+    rule_ii = s.size - int(np.count_nonzero(s)) - rule_iii
     return rule_i, rule_ii, rule_iii

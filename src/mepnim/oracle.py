@@ -74,7 +74,7 @@ def _box_walk(graph: GameGraph) -> np.ndarray:
     to another state, so the read goes to a sentinel slot that stays
     False."""
     shape, size, n = graph.box_shape, graph.num_nodes, graph.n_heaps
-    narrow = graph.box_id.dtype
+    narrow = np.int32 if n * (size + 1) < 2**31 else np.int64  # holds every index into below
     stride = np.array(graph.box_strides, dtype=narrow).reshape(n, 1)
     period = stride * np.array(shape, dtype=narrow).reshape(n, 1)  # heap i is 0 iff code % period < stride
     level_type = np.min_scalar_type(sum(graph.root))

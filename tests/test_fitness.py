@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import chrom, worked_example, xor3_minus_a4, xor_chain
-from mepnim.expr import Chromosome, Gene
-from mepnim.fitness import INVALID, Label, graph_fitness
+from mepnim.expr import Chromosome, EvalError, Gene, evaluate_many
+from mepnim.fitness import INVALID, FitnessBreakdown, Label, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph
 from mepnim.genetics import random_chromosome
 from mepnim.oracle import verify_formula
@@ -108,3 +111,34 @@ class TestGraphFitness:
         # the equivalence also holds for a known-perfect formula
         assert graph_fitness(xor_chain(4), graph_4444)[0] == 0
         assert verify_formula(xor_chain(4), graph_4444).agrees
+
+
+def edge_list_fitness(c, graph):
+    """`graph_fitness` by scanning the edge arrays: the reference for the
+    box computation of tuple graphs."""
+    try:
+        p = evaluate_many(c, graph.heap_matrix, graph.n_heaps) == 0
+    except EvalError:
+        return INVALID, None
+    rule_i = int(np.count_nonzero(p[graph.edge_src] & p[graph.edge_dst]))
+    has_p_child = np.zeros(graph.num_nodes, dtype=bool)
+    has_p_child[graph.edge_src[p[graph.edge_dst]]] = True
+    rule_ii = int(np.count_nonzero(~p & ~graph.terminal_mask & ~has_p_child))
+    rule_iii = int(np.count_nonzero(~p & graph.terminal_mask))
+    return rule_i + rule_ii + rule_iii, FitnessBreakdown(rule_i, rule_ii, rule_iii)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=0, max_size=6), st.lists(st.integers(0, 2**32), min_size=1, max_size=6))
+@example([], [0, 1, 2, 3]).via("no heaps")
+@example([0], [0, 1, 2, 3]).via("one empty heap")
+@example([0, 3, 0, 2], [0, 1, 2, 3]).via("empty heaps between")
+def test_box_fitness_equals_edge_list_fitness(root, seeds):
+    graph = build_graph(root, TUPLE)
+    n = len(root)
+    formulas = [random_chromosome(1 + seed % 15, n, random.Random(seed)) for seed in seeds]
+    formulas += [chrom("n"), chrom("n", ("not", 1)), chrom("n", ("-", 1, 1), ("div", 1, 2))]
+    if n:
+        formulas += [xor_chain(n), chrom("a1", ("-", 1, 1))]
+    for c in formulas:
+        assert graph_fitness(c, graph) == edge_list_fitness(c, graph), (root, c)

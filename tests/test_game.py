@@ -270,6 +270,38 @@ def test_multiset_build_peak_memory():
     assert peak <= 5 * 10**6
 
 
+def test_tuple_build_and_score_peak_memory():
+    # 32,768 states; the edge arrays alone would take 9.2 MB (573,440 edges),
+    # and building them peaked at 15 MB; the kept heap matrix takes 1.3 MB
+    from conftest import xor_chain
+    from mepnim.fitness import graph_fitness
+    from mepnim.oracle import retrograde_p_mask
+
+    warm = build_graph((2, 2), TUPLE)  # first-call allocations are not the pipeline's
+    retrograde_p_mask(warm)
+    graph_fitness(xor_chain(2), warm)
+    tracemalloc.start()
+    try:
+        graph = build_graph((7,) * 5, TUPLE)
+        retrograde_p_mask(graph)
+        assert graph_fitness(xor_chain(5), graph)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 10**6
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=0, max_size=6), st.sampled_from([MULTISET, TUPLE]))
+@example([], TUPLE).via("no heaps")
+@example([0], TUPLE).via("one empty heap")
+@example([0, 3, 0, 2], TUPLE).via("empty heaps between")
+def test_edge_count_equals_edge_arrays(root, mode):
+    graph = build_graph(root, mode)
+    count = graph.num_edges  # read first: in tuple mode it builds no edges
+    assert count == len(graph.edge_src) == len(graph.edge_dst)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 4), min_size=0, max_size=6), st.sampled_from([MULTISET, TUPLE]))
 def test_state_count_equals_built_node_count(root, mode):

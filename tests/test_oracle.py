@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chrom, worked_example, xor3_minus_a4, xor_chain
@@ -141,6 +141,32 @@ def test_retrograde_mask_equals_xor_rule(case):
     assert np.array_equal(mask, np.bitwise_xor.reduce(graph.heap_matrix, axis=1) == 0)
 
 
+def edge_walk_p_mask(graph):
+    """P-mask by backward induction over the edge arrays, in plain Python:
+    the reference for the box walk of tuple graphs."""
+    kids = [[] for _ in range(graph.num_nodes)]
+    for u, v in zip(graph.edge_src.tolist(), graph.edge_dst.tolist()):
+        kids[u].append(v)
+    totals = graph.heap_matrix.sum(axis=1).tolist()
+    is_p = [False] * graph.num_nodes
+    for u in sorted(range(graph.num_nodes), key=totals.__getitem__):
+        is_p[u] = not any(is_p[v] for v in kids[u])
+    return np.array(is_p, dtype=bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=0, max_size=6))
+@example([]).via("no heaps")
+@example([0]).via("one empty heap")
+@example([0, 3, 0, 2]).via("empty heaps between")
+def test_box_mask_equals_edge_walk_and_xor_rule(root):
+    graph = build_graph(root, TUPLE)
+    mask = retrograde_p_mask(graph)
+    assert mask.dtype == bool and mask.shape == (graph.num_nodes,)
+    assert np.array_equal(mask, edge_walk_p_mask(graph))
+    assert np.array_equal(mask, np.array([bouton_label(s) is Label.P for s in graph.nodes], dtype=bool))
+
+
 @pytest.mark.parametrize("root,mode", [((7, 7, 7, 7, 7), TUPLE), ((9, 9, 9, 9, 9, 9), MULTISET)])
 def test_retrograde_mask_on_graphs_above_the_sort_limit(root, mode):
     # the two graphs of the benchmark's large-games workload
@@ -164,3 +190,12 @@ def test_graph_is_labeled_once():
     assert [labels[state] is Label.P for state in graph.nodes] == mask.tolist()
     with pytest.raises(ValueError):
         mask[0] = not mask[0]
+
+
+def test_tuple_oracle_classifier_reads_the_mask():
+    graph = build_graph((3, 0, 2), TUPLE)
+    classify = oracle_classifier(graph)
+    assert {state: classify(state) for state in graph.nodes} == retrograde_labels(graph)
+    for outside in [(4, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 1)]:
+        with pytest.raises(ValueError):
+            classify(outside)

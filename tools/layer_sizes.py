@@ -80,7 +80,9 @@ def run_child(states: int) -> dict:
         f"import sys, json; sys.path.insert(0, {str(SRC)!r}); sys.path.insert(0, {str(Path(__file__).parent)!r});"
         f" import layer_sizes; print(json.dumps(layer_sizes.measure({heaps!r}, {mode!r})))"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"the {states}-state run exited with status {done.returncode}:\n{done.stderr.strip()}")
     return json.loads(done.stdout)
 
 
