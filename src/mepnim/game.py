@@ -234,12 +234,14 @@ def _tuple_graph(start: GameState) -> GameGraph:
     n = len(start)
     dims = tuple(h + 1 for h in start)
     size = math.prod(dims)
-    value_type = np.min_scalar_type(max(start, default=0))
+    unchanged = max(start, default=0) + 1  # above every root[i] - state[i]
+    # wide enough for `unchanged` too: np.where keeps the arrays' type and
+    # would wrap it (a largest heap of 255 in uint8 would score 0)
+    value_type = np.min_scalar_type(unchanged)
     box = np.indices(dims, dtype=value_type).reshape(n, size)  # box[i, code]: heap i of that state
     root = np.array(start, dtype=value_type).reshape(n, 1)
     differs = box != root
-    unchanged = max(start, default=0) + 1  # above every root[i] - state[i]
-    scores = np.where(differs, root - box, unchanged).astype(np.min_scalar_type(unchanged))
+    scores = np.where(differs, root - box, value_type.type(unchanged))
     # lexsort's last key is the primary one: level, then heap 0, 1, ...
     order = np.lexsort((*scores[::-1], differs.sum(axis=0)))  # node id -> box code
     del differs, scores

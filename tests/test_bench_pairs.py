@@ -38,13 +38,14 @@ def test_failed_run_shows_its_stderr_and_keeps_the_pairs_so_far(tmp_path, monkey
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     runs = []
 
-    def fake_run(argv, cwd, capture_output, text, **kwargs):
-        assert capture_output and text and not kwargs.get("check")
+    def fake_run(argv, cwd, capture_output, text, check=False):
+        assert capture_output and text
         if argv[0] == "git":
             return subprocess.CompletedProcess(argv, 128, "", "not a git repository")
+        assert check
         runs.append(argv)
         if len(runs) == 7:  # second workload, second pair, first side
-            return subprocess.CompletedProcess(argv, 1, "", "line 1\nTraceback\nValueError: boom\n")
+            raise subprocess.CalledProcessError(1, argv, "", "line 1\nTraceback\nValueError: boom\n")
         result = {"failed": 0, "attempted": 3, "metrics": {"speed": {"value": float(len(runs))}}}
         return subprocess.CompletedProcess(argv, 0, json.dumps({"python": "3"}) + "\n" + json.dumps(result) + "\n", "")
 

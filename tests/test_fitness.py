@@ -133,6 +133,7 @@ def edge_list_fitness(c, graph):
 @example([], [0, 1, 2, 3]).via("no heaps")
 @example([0], [0, 1, 2, 3]).via("one empty heap")
 @example([0, 3, 0, 2], [0, 1, 2, 3]).via("empty heaps between")
+@example([255, 3], [0, 1, 2, 3]).via("a heap at the uint8 limit")
 def test_box_fitness_equals_edge_list_fitness(root, seeds):
     graph = build_graph(root, TUPLE)
     n = len(root)

@@ -240,6 +240,23 @@ def test_tuple_graph_equals_reference_bfs(root):
     assert_equals_reference_bfs(root, TUPLE)
 
 
+@pytest.mark.parametrize("root", [(255, 1), (255, 3), (3, 255)])
+def test_tuple_graph_with_a_heap_at_a_type_limit_equals_reference_bfs(root):
+    # a largest heap of 255 is the most a uint8 holds: the build must not
+    # wrap the score of a heap that still equals the root
+    assert_equals_reference_bfs(root, TUPLE)
+
+
+def test_tuple_graph_with_a_heap_of_65535_keeps_breadth_first_order():
+    # the uint16 limit; the reference search would walk 4e9 edges, but the
+    # first level is the root's children in `children` order
+    root = (65535, 1)
+    graph = build_graph(root, TUPLE)
+    level_one = [list(s) for s in children(root, TUPLE)]
+    assert graph.heap_matrix[1 : 1 + len(level_one)].tolist() == level_one
+    assert graph.heap_matrix[-1].tolist() == [0, 0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=0, max_size=6))
 @example([]).via("no heaps")

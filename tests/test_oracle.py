@@ -159,6 +159,7 @@ def edge_walk_p_mask(graph):
 @example([]).via("no heaps")
 @example([0]).via("one empty heap")
 @example([0, 3, 0, 2]).via("empty heaps between")
+@example([255, 3]).via("a heap at the uint8 limit")
 def test_box_mask_equals_edge_walk_and_xor_rule(root):
     graph = build_graph(root, TUPLE)
     mask = retrograde_p_mask(graph)

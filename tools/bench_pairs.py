@@ -39,21 +39,10 @@ def revision(checkout: Path) -> str:
 STDERR_TAIL = 20  # lines of a failed run's standard error to show
 
 
-class RunFailed(Exception):
-    """A benchmark run exited non-zero."""
-
-    def __init__(self, argv: list[str], returncode: int, stderr: str):
-        super().__init__(f"{' '.join(argv)} exited with status {returncode}")
-        self.returncode = returncode
-        self.stderr_tail = "\n".join(stderr.splitlines()[-STDERR_TAIL:])
-
-
 def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One untraced benchmark run: its environment line and result line."""
     argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RunFailed(argv, done.returncode, done.stderr)
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     return json.loads(lines[-2]), json.loads(lines[-1])
 
@@ -116,10 +105,11 @@ def main(argv=None) -> int:
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 try:
                     env, result = run_once(checkouts[side], spec["command"], workload, seed, spec["run_seconds"])
-                except RunFailed as failure:
-                    print(f"{failure}; its stderr ends:\n{failure.stderr_tail}", file=sys.stderr)
+                except subprocess.CalledProcessError as failure:
+                    tail = "\n".join(failure.stderr.splitlines()[-STDERR_TAIL:])
+                    print(f"{' '.join(failure.cmd)} exited with status {failure.returncode}; its stderr ends:\n{tail}", file=sys.stderr)
                     report["workloads"][workload] = {
-                        "failed_run": {"side": side, "seed": seed, "returncode": failure.returncode, "stderr_tail": failure.stderr_tail},
+                        "failed_run": {"side": side, "seed": seed, "returncode": failure.returncode, "stderr_tail": tail},
                         "seeds": seeds[: i + 1],
                         "results": results,
                     }
