@@ -306,6 +306,25 @@ _BINARY_MANY = (
 )
 
 
+def _run(program: Program, columns, n: int, n_shape: tuple[int, ...]) -> np.ndarray:
+    """The vectorized evaluator: `program` over per-heap int64 arrays
+    ``columns[i]`` that broadcast together, with the heap count ``n`` as an
+    array of shape `n_shape`.  Every value has the broadcast shape of the
+    arrays it was computed from.  Raises EvalError if an operand divided by
+    holds a 0 anywhere."""
+    values: list[np.ndarray] = []
+    for op, x, y in program.code:
+        if op == _HEAP:
+            values.append(columns[x])
+        elif op == _N:
+            values.append(np.full(n_shape, n, dtype=np.int64))
+        elif op == _NOT:
+            values.append(~values[x])
+        else:
+            values.append(_BINARY_MANY[op](values[x], values[y]))
+    return values[-1]
+
+
 def evaluate_many(chrom: Chromosome, heap_matrix: np.ndarray, n: int | None = None) -> np.ndarray:
     """Vectorized `evaluate` over a (states, heaps) int64 matrix.
 
@@ -316,18 +335,25 @@ def evaluate_many(chrom: Chromosome, heap_matrix: np.ndarray, n: int | None = No
         n = heap_matrix.shape[1]
     program = chrom.program
     _check_heap_refs(program, n)
+    return _run(program, heap_matrix.T, n, heap_matrix.shape[:1])
 
-    values: list[np.ndarray] = []
-    for op, x, y in program.code:
-        if op == _HEAP:
-            values.append(heap_matrix[:, x])
-        elif op == _N:
-            values.append(np.full(heap_matrix.shape[0], n, dtype=np.int64))
-        elif op == _NOT:
-            values.append(~values[x])
-        else:
-            values.append(_BINARY_MANY[op](values[x], values[y]))
-    return values[-1]
+
+def evaluate_broadcast(chrom: Chromosome, axes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Vectorized `evaluate` over the grid of states that per-heap int64
+    arrays span when broadcast together, such as a tuple graph's
+    ``box_axes``: heap i of a grid point is its element of ``axes[i]``, and
+    the heap count is ``len(axes)``.
+
+    Each value is computed on the broadcast shape of only the axes it
+    reads, so the result may be smaller than the grid and broadcasts to
+    it.  Every element of an operand is the value of some grid point, so
+    EvalError is raised exactly when `evaluate_many` over the grid's rows
+    would raise it.
+    """
+    n = len(axes)
+    program = chrom.program
+    _check_heap_refs(program, n)
+    return _run(program, axes, n, (1,) * n)
 
 
 def decode_infix(chrom: Chromosome) -> str:

@@ -143,13 +143,17 @@ class GameGraph:
     A tuple graph keeps no edge list.  Its states are the whole box of
     shape ``box_shape`` (h + 1 per heap); a state's box code is its
     mixed-radix index, the sum of ``state[i] * box_strides[i]`` (last heap
-    fastest), and ``box_id`` maps each box code to its node id.  The
-    children of a state are the states ``t * box_strides[i]`` codes below
-    it, so fitness and labeling work on the box, and the edge arrays are
-    built by index arithmetic only when ``edge_src`` or ``edge_dst`` is
+    fastest), and ``box_id`` maps each box code to its node id.
+    ``box_axes[i]`` is ``np.arange(h_i + 1)`` shaped to axis i of the box,
+    so the axes broadcast together to every state's heaps in box order.
+    The children of a state are the states ``t * box_strides[i]`` codes
+    below it, so fitness and labeling work on the box, and the edge arrays
+    are built by index arithmetic only when ``edge_src`` or ``edge_dst`` is
     first read.  A multiset graph keeps the edge arrays it is given, and
-    has None for the three box attributes.  ``nodes`` and
-    ``terminal_mask`` are likewise built on first access.
+    has None for the four box attributes.  ``nodes``, ``terminal_mask``,
+    ``terminal`` (the empty state's node id) and ``edge_offsets`` (node u's
+    edges are ``edge_offsets[u]:edge_offsets[u + 1]``) are likewise built on
+    first access.
 
     The constructor keeps the arrays it is given, without copying: an int64
     ``(states, heaps)`` heap matrix and int64 edge arrays.  It marks them
@@ -164,11 +168,12 @@ class GameGraph:
         self.mode = mode
         self.n_heaps = len(root)
         self.heap_matrix = _read_only(heap_matrix)
-        self.box_shape = self.box_strides = self.box_id = None
+        self.box_shape = self.box_strides = self.box_id = self.box_axes = None
         if box_id is not None:
             self.box_shape = tuple(h + 1 for h in root)
             self.box_strides = tuple(math.prod(self.box_shape[i + 1 :]) for i in range(self.n_heaps))
             self.box_id = _read_only(box_id)
+            self.box_axes = tuple(map(_read_only, np.ix_(*(np.arange(dim, dtype=np.int64) for dim in self.box_shape))))
         else:
             self._edges = (_read_only(edge_src), _read_only(edge_dst))
 
@@ -185,9 +190,17 @@ class GameGraph:
         return _read_only(~self.heap_matrix.any(axis=1))
 
     @cached_property
+    def terminal(self) -> int:
+        return int(self.terminal_mask.argmax())
+
+    @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
         # reached only in tuple mode: a multiset graph sets it on construction
         return tuple(map(_read_only, _tuple_edges(self)))
+
+    @cached_property
+    def edge_offsets(self) -> np.ndarray:
+        return _read_only(np.searchsorted(self.edge_src, np.arange(self.num_nodes + 1)))
 
     @property
     def edge_src(self) -> np.ndarray:

@@ -50,7 +50,7 @@ def _edge_walk(graph: GameGraph) -> np.ndarray:
     # the narrowest unsigned type lets the stable argsort run as a radix sort
     levels = levels.astype(np.min_scalar_type(levels.max()))
     by_level = np.argsort(levels, kind="stable")
-    first = np.searchsorted(graph.edge_src, np.arange(graph.num_nodes + 1))
+    first = graph.edge_offsets
     count = np.diff(first)[by_level]
     ends = np.cumsum(count)  # edge positions in level order
     shift = first[by_level] - ends + count  # a node's edge ids minus their positions

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mepnim
 from conftest import worked_example, xor_chain
 from mepnim.cli import COMMANDS, SETTINGS, main
 from mepnim.expr import format_chromosome, parse_chromosome
@@ -455,6 +459,31 @@ class TestBadSettings:
         cfg.write_text(f"heaps = 4,4,4,4\npop = 7\nformula-file = {xor_file}\n")
         assert main(["verify", "--config", str(cfg)]) == 0
         assert "agrees" in capsys.readouterr().out
+
+
+class TestRunAsModule:
+    """``python -m mepnim`` runs the same command line as `main`."""
+
+    @staticmethod
+    def run(*args):
+        env = dict(os.environ, PYTHONPATH=str(Path(mepnim.__file__).parent.parent))
+        return subprocess.run([sys.executable, "-m", "mepnim", *args], capture_output=True, text=True, env=env)
+
+    def test_help_exits_0(self):
+        done = self.run("--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: mepnim")
+
+    def test_bad_flag_is_one_error_line(self):
+        done = self.run("oracle", "--heaps", "2,1", "--no-such-flag")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "--no-such-flag" in done.stderr
+
+    def test_subcommand_output_equals_main(self, capsys):
+        assert main(["oracle", "--heaps", "2,1", "--state-space", "tuple"]) == 0
+        done = self.run("oracle", "--heaps", "2,1", "--state-space", "tuple")
+        assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
 
 
 # Good and bad values for every setting; the good ones keep each run small.

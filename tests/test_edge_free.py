@@ -46,3 +46,12 @@ def test_play_against_the_oracle_builds_no_edges(no_edges_or_nodes, tmp_path, ca
     out = capsys.readouterr().out
     assert out.startswith("move: heap 1 take 1 -> (2, 5, 7)\n")
     assert out.endswith("formula (moving first) won 1/1 games vs oracle\n")
+
+
+def test_tuple_fitness_reads_only_the_box_axes():
+    graph = build_graph((3, 5, 6), TUPLE)
+    formulas = [xor_chain(3), chrom("a1", "a2", ("-", 1, 2)), chrom("n"), chrom("a2", "a3", ("div", 1, 2))]
+    expected = [graph_fitness(c, graph) for c in formulas]
+    graph.heap_matrix = graph.box_id = None
+    assert [graph_fitness(c, graph) for c in formulas] == expected
+    assert expected[0] == (0, FitnessBreakdown(0, 0, 0)) and expected[3][1] is None

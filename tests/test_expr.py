@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chrom, worked_example, xor3_minus_a4
@@ -14,11 +14,13 @@ from mepnim.expr import (
     active_positions,
     decode_infix,
     evaluate,
+    evaluate_broadcast,
     evaluate_many,
     format_chromosome,
     max_heap_ref,
     parse_chromosome,
 )
+from mepnim.game import StateSpaceMode, build_graph
 from mepnim.genetics import random_chromosome
 
 INT64_MIN = -(1 << 63)
@@ -122,10 +124,49 @@ class TestEvaluateMany:
                 continue
             assert evaluate_many(c, matrix, n).tolist() == expected
 
+    def test_one_writable_int64_value_per_row(self):
+        matrix = np.array([[7, 0], [3, 2], [0, 0]], dtype=np.int64)
+        for c in (chrom("n"), chrom("n", ("not", 1)), chrom("a1", "a2", ("+", 1, 2)), chrom("a2", "n", ("*", 1, 2))):
+            values = evaluate_many(c, matrix)
+            assert (values.shape, values.dtype, values.flags.writeable) == ((3,), np.int64, True)
+        assert evaluate_many(chrom("n"), matrix).tolist() == [2, 2, 2]
+
     def test_dead_division_does_not_raise(self):
         c = chrom("a1", "a2", ("div", 1, 2), "a1")
         matrix = np.array([[7, 0], [3, 0]], dtype=np.int64)
         assert evaluate_many(c, matrix).tolist() == [7, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=0, max_size=5),
+    st.lists(st.tuples(st.integers(0, 2**32), st.sampled_from([0.3, 0.5, 0.9])), min_size=1, max_size=8),
+)
+@example([], [(0, 0.5), (1, 0.9)]).via("no heaps")
+@example([0, 3, 0, 2], [(0, 0.5), (1, 0.9), (2, 0.9)]).via("empty heaps between")
+@example([255, 3], [(0, 0.5), (1, 0.9)]).via("a heap at the uint8 limit")
+def test_box_evaluation_equals_evaluate_many(root, draws):
+    """On a tuple graph's broadcast axes, each value read back through
+    `box_id` equals `evaluate_many` over `heap_matrix`, and EvalError is
+    raised by one exactly when it is raised by the other."""
+    graph = build_graph(root, StateSpaceMode.TUPLE)
+    n = len(root)
+    formulas = [random_chromosome(1 + seed % 15, n, random.Random(seed), prob) for seed, prob in draws]
+    formulas += [chrom("n"), chrom("n", ("-", 1, 1), ("div", 1, 2))]
+    if n:
+        formulas += [chrom("a1", "n", ("mod", 2, 1)), chrom(f"a{n}", ("not", 1), "a1", ("div", 3, 2))]
+    for c in formulas:
+        try:
+            expected = evaluate_many(c, graph.heap_matrix, n)
+        except EvalError:
+            with pytest.raises(EvalError):
+                evaluate_broadcast(c, graph.box_axes)
+            continue
+        values = evaluate_broadcast(c, graph.box_axes)
+        assert values.dtype == np.int64
+        by_node = np.empty(graph.num_nodes, dtype=np.int64)
+        by_node[graph.box_id] = np.broadcast_to(values, graph.box_shape).ravel()
+        assert by_node.tolist() == expected.tolist(), (root, c)
 
 
 class TestInfix:

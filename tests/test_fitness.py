@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chrom, worked_example, xor3_minus_a4, xor_chain
+from mepnim import fitness
 from mepnim.expr import Chromosome, EvalError, Gene, evaluate_many
 from mepnim.fitness import INVALID, FitnessBreakdown, Label, graph_fitness
-from mepnim.game import StateSpaceMode, build_graph
+from mepnim.game import GameGraph, StateSpaceMode, build_graph
 from mepnim.genetics import random_chromosome
-from mepnim.oracle import verify_formula
+from mepnim.oracle import retrograde_p_mask, verify_formula
 from mepnim.play import formula_classifier
 
 MULTISET = StateSpaceMode.MULTISET
@@ -143,3 +145,101 @@ def test_box_fitness_equals_edge_list_fitness(root, seeds):
         formulas += [xor_chain(n), chrom("a1", ("-", 1, 1))]
     for c in formulas:
         assert graph_fitness(c, graph) == edge_list_fitness(c, graph), (root, c)
+
+
+def int64_min_over_minus_one() -> Chromosome:
+    """((2^63 wrapped to INT64_MIN) + a1) div (not 0), minus INT64_MIN: at
+    a1 = 0 the division is INT64_MIN div -1, the one overflowing integer
+    division, and the formula is 0 exactly there."""
+    return chrom(
+        "n", ("-", 1, 1), ("not", 2), ("-", 2, 3), ("+", 4, 4),  # 0, -1, 1, 2
+        ("*", 5, 5), ("*", 6, 6), ("*", 7, 7), ("*", 8, 8), ("*", 9, 9),  # 4, 16, 2^8, 2^16, 2^32
+        ("*", 10, 9), ("*", 11, 8), ("*", 12, 7), ("*", 13, 6), ("*", 14, 5),  # 2^48 ... 2^63
+        "a1", ("+", 15, 16), ("div", 17, 3), ("-", 18, 15),
+    )
+
+
+def special_formulas(n: int) -> list[Chromosome]:
+    """Formulas that reach the edge cases of both fitness paths: constant,
+    n alone and negated, dividing by zero everywhere and at some states
+    only, a divisor of -1 at INT64_MIN, the xor rule and always-P."""
+    formulas = [chrom("n"), chrom("n", ("not", 1)), chrom("n", ("-", 1, 1), ("div", 1, 2))]
+    if n:
+        formulas += [
+            xor_chain(n),
+            chrom("a1", ("-", 1, 1)),
+            chrom("a1", "n", ("mod", 2, 1)),  # divides by zero where a1 is 0
+            int64_min_over_minus_one(),
+        ]
+    return formulas
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=0, max_size=6), st.lists(st.integers(0, 2**32), min_size=1, max_size=6))
+@example([], [0, 1, 2, 3]).via("no heaps")
+@example([0], [0, 1, 2, 3]).via("one empty heap")
+@example([0, 3, 0, 2], [0, 1, 2, 3]).via("empty heaps between")
+@example([255, 3], [0, 1, 2, 3]).via("a heap at the uint8 limit")
+def test_box_fitness_with_slabs_forced_on_and_off(root, seeds):
+    """Both ways of taking the box prefix sums, each forced on every axis,
+    against the edge-list reference."""
+    graph = build_graph(root, TUPLE)
+    n = len(root)
+    formulas = [random_chromosome(1 + seed % 15, n, random.Random(seed)) for seed in seeds]
+    formulas += special_formulas(n)
+    expected = [edge_list_fitness(c, graph) for c in formulas]
+    for slab_lines in (0, math.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitness, "SLAB_LINES_PER_STEP", slab_lines)
+            for c, want in zip(formulas, expected):
+                assert graph_fitness(c, graph) == want, (root, slab_lines, c)
+
+
+def test_int64_min_over_minus_one_formula():
+    # the helper above is what it says: P exactly where a1 is 0
+    graph = build_graph((3, 1), TUPLE)
+    values = evaluate_many(int64_min_over_minus_one(), graph.heap_matrix)
+    assert ((values == 0) == (graph.heap_matrix[:, 0] == 0)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=0, max_size=5), st.lists(st.integers(0, 2**32), min_size=1, max_size=6))
+@example([], [0, 1, 2, 3]).via("no heaps")
+@example([0, 0], [0, 1, 2, 3]).via("empty heaps only")
+@example([5], [0, 1, 2, 3]).via("one heap")
+@example([3, 0], [0, 1, 2, 3]).via("an empty heap")
+def test_multiset_fitness_equals_edge_list_fitness(root, seeds):
+    graph = build_graph(root, MULTISET)
+    n = len(root)
+    formulas = [random_chromosome(1 + seed % 15, n, random.Random(seed)) for seed in seeds]
+    for c in formulas + special_formulas(n):
+        assert graph_fitness(c, graph) == edge_list_fitness(c, graph), (root, c)
+
+
+def relabeled(graph, order):
+    """The same multiset game with node k of the new graph being node
+    order[k] of `graph`, its edges grouped by source in the new order."""
+    new_id = np.empty(len(order), dtype=np.int64)
+    new_id[order] = np.arange(len(order))
+    src, dst = [], []
+    for k, u in enumerate(order):
+        for v in graph.edge_dst[graph.edge_src == u].tolist():
+            src.append(k)
+            dst.append(int(new_id[v]))
+    heap_matrix = graph.heap_matrix[order]  # a copy, so writable
+    return GameGraph(graph.root, MULTISET, heap_matrix, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+
+
+@pytest.mark.parametrize("root,terminal_at", [((3, 0), 0), ((3, 0), 1), ((4, 4, 4, 4), 0), ((4, 4, 4, 4), 35)])
+def test_multiset_fitness_with_the_terminal_not_last(root, terminal_at):
+    # built graphs list the terminal last; a GameGraph need not
+    graph = build_graph(root, MULTISET)
+    order = list(range(graph.num_nodes - 1))
+    order.insert(terminal_at, graph.num_nodes - 1)
+    moved = relabeled(graph, order)
+    assert moved.terminal == terminal_at and moved.nodes[terminal_at] == (0,) * len(root)
+    assert np.array_equal(retrograde_p_mask(moved), retrograde_p_mask(graph)[order])
+    rng = random.Random(31)
+    formulas = [random_chromosome(15, len(root), rng) for _ in range(40)] + special_formulas(len(root))
+    for c in formulas:
+        assert graph_fitness(c, moved) == edge_list_fitness(c, moved) == graph_fitness(c, graph), c

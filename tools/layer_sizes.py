@@ -8,11 +8,13 @@ Run from the root of a checkout:
 For each size, a fresh child process builds the game graph, labels it with
 `retrograde_p_mask`, verifies the xor formula against that labeling and
 scores it once with `graph_fitness`, timing each step, and reports its peak
-resident set size.  A fresh process per size keeps one game's memory out of
-the next one's peak.  The output is one JSON object on standard output: per
-size, the game, its state and edge counts, the seconds of each step, their
-sum, and the child's peak RSS in MB (which includes the interpreter and
-numpy, about 30 MB).
+resident set size.  Then it scores a seeded batch of random formulas, as
+evolution does, for a steady-state fitness time.  A fresh process per size
+keeps one game's memory out of the next one's peak.  The output is one JSON
+object on standard output: per size, the game, its state and edge counts,
+the seconds of each step, their sum, the mean seconds per `graph_fitness`
+call over the batch (``fitness_batch_s``), and the child's peak RSS in MB
+(which includes the interpreter and numpy, about 30 MB).
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the batch behind fitness_batch_s: random formulas of BATCH_GENES genes
+BATCH_SIZE, BATCH_GENES, BATCH_SEED = 120, 15, 9
 
 # states -> (heaps, state space)
 GAMES = {
@@ -37,10 +42,11 @@ GAMES = {
 
 def measure(heaps: tuple[int, ...], mode_name: str) -> dict:
     """The layers of one game, timed in this process."""
+    import random
     import resource
     import time
 
-    from mepnim import expr, fitness, game, oracle
+    from mepnim import expr, fitness, game, genetics, oracle
 
     mode = game.StateSpaceMode(mode_name)
     genes = [expr.Gene("a1")]
@@ -62,6 +68,12 @@ def measure(heaps: tuple[int, ...], mode_name: str) -> dict:
     seconds["fitness"] = time.perf_counter() - t0
     if not agrees or total != 0:
         raise SystemExit(f"the xor formula failed on {heaps} {mode_name}")
+    rng = random.Random(BATCH_SEED)
+    batch = [genetics.random_chromosome(BATCH_GENES, len(heaps), rng) for _ in range(BATCH_SIZE)]
+    t0 = time.perf_counter()
+    for chrom in batch:
+        fitness.graph_fitness(chrom, graph)
+    batch_s = (time.perf_counter() - t0) / BATCH_SIZE
     return {
         "heaps": list(heaps),
         "mode": mode_name,
@@ -69,6 +81,7 @@ def measure(heaps: tuple[int, ...], mode_name: str) -> dict:
         "edges": graph.num_edges,
         "seconds": seconds,
         "total_s": sum(seconds.values()),
+        "fitness_batch_s": batch_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
