@@ -339,10 +339,11 @@ def evaluate_many(chrom: Chromosome, heap_matrix: np.ndarray, n: int | None = No
 
 
 def evaluate_broadcast(chrom: Chromosome, axes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Vectorized `evaluate` over the grid of states that per-heap int64
-    arrays span when broadcast together, such as a tuple graph's
-    ``box_axes``: heap i of a grid point is its element of ``axes[i]``, and
-    the heap count is ``len(axes)``.
+    """Vectorized `evaluate` over a grid of states given by its axes, such
+    as a tuple graph's ``box_axes``: ``axes[i]`` is an int64 array of
+    ``n = len(axes)`` dimensions that holds heap i's values along axis i
+    and has length 1 on every other axis, so the axes broadcast together to
+    the grid.
 
     Each value is computed on the broadcast shape of only the axes it
     reads, so the result may be smaller than the grid and broadcasts to

@@ -119,10 +119,10 @@ def _box_violations(p: np.ndarray) -> tuple[int, int, int]:
     count_type = np.min_scalar_type(sum(shape))  # s[v] <= sum(v) + n
     p01 = p.view(np.uint8)
     s = np.empty(shape, dtype=count_type)
-    part = np.empty_like(s) if n > 1 else None
+    part = np.empty_like(s)
     for axis, dim in enumerate(shape):
         out = part if axis else s
-        if p.size >= SLAB_LINES_PER_STEP * dim * dim:  # lines = size / dim
+        if p.size >= SLAB_LINES_PER_STEP * dim * dim:  # the axis has size / dim lines
             out[...] = p01
             slabs = out.reshape(-1, dim, math.prod(shape[axis + 1 :]))
             for t in range(1, dim):
