@@ -17,21 +17,11 @@ from enum import Enum
 import numpy as np
 
 from .expr import Chromosome, EvalError, evaluate_broadcast, evaluate_many
-from .game import GameGraph
+from .game import GameGraph, StateSpaceMode
 
 #: Fitness of a formula that divides by zero somewhere on the graph.
 #: Compares strictly worse than every violation count.
 INVALID = math.inf
-
-#: `graph_fitness` takes the prefix sums of a tuple graph's P-mask along a
-#: heap axis by adding slabs when the axis has at least this many lines per
-#: step along it, and with ``np.add.accumulate`` otherwise.  Per axis, on a
-#: 2-CPU Xeon with numpy 2.4: at (31,)*3 (31 lines per step) accumulate is
-#: 1.6x faster over the three axes, at (40,)*3 slabs are 1.25x faster, at
-#: (8,)*5 (512) 5x and at (10,)*6 (10^4) 9x; at (1001,) (one line)
-#: accumulate is 300x faster.
-SLAB_LINES_PER_STEP = 40
-
 
 class Label(Enum):
     P = "P"
@@ -59,15 +49,15 @@ def graph_fitness(chrom: Chromosome, graph: GameGraph) -> tuple[int | float, Fit
     given.
     """
     try:
-        if graph.box_axes is None:
-            p = evaluate_many(chrom, graph.heap_matrix, graph.n_heaps) == 0
-        else:
+        if graph.mode is StateSpaceMode.TUPLE:
             p = np.empty(graph.box_shape, dtype=bool)
             np.equal(evaluate_broadcast(chrom, graph.box_axes), 0, out=p)
+            rule_i, rule_ii, rule_iii = _box_violations(p)
+        else:
+            p = evaluate_many(chrom, graph.heap_matrix, graph.n_heaps) == 0
+            rule_i, rule_ii, rule_iii = _edge_violations(p, graph)
     except EvalError:
         return INVALID, None
-
-    rule_i, rule_ii, rule_iii = _edge_violations(p, graph) if graph.box_axes is None else _box_violations(p)
     breakdown = FitnessBreakdown(rule_i, rule_ii, rule_iii)
     return breakdown.total, breakdown
 
@@ -76,25 +66,21 @@ def _edge_violations(p: np.ndarray, graph: GameGraph) -> tuple[int, int, int]:
     """The three rule counts from per-source sums over the edge arrays.
 
     ``np.add.reduceat`` over the edge offsets sums the P-mask of each
-    node's children, c[u], so rule i is c . p and rule ii counts the
-    non-terminal nodes where c + p is 0.  The terminal is the one node
-    with no edges, and reduceat cannot give an empty range a sum of 0: it
-    takes the next edge's value, or fails when no edge follows.  So the
-    terminal's sum is set to 0, or left out when it is the last node."""
-    terminal, nodes = graph.terminal, len(p)
-    rule_iii = int(not p[terminal])
-    if nodes == 1:  # the terminal alone, with no edges
+    node's children, c[u], so rule i is c . p and rule ii counts the nodes
+    where c + p is 0.  The terminal, the last node and the only one with
+    no edges, is left out of both: reduceat cannot give an empty range a
+    sum of 0."""
+    rule_iii = int(not p[-1])
+    sources = len(p) - 1
+    if not sources:  # the terminal alone, with no edges
         return 0, 0, rule_iii
     edge_dst = graph.edge_dst
     count_type = np.int32 if len(edge_dst) < 2**31 else np.int64  # holds the edge count
-    sources = nodes - (terminal == nodes - 1)
     c = np.add.reduceat(p[edge_dst], graph.edge_offsets[:sources], dtype=count_type)
     p = p[:sources]
-    if terminal < sources:
-        c[terminal] = 0
     rule_i = int(c @ p)
     c += p
-    rule_ii = sources - int(np.count_nonzero(c)) - (rule_iii if terminal < sources else 0)
+    rule_ii = sources - int(np.count_nonzero(c))
     return rule_i, rule_ii, rule_iii
 
 
@@ -109,9 +95,9 @@ def _box_violations(p: np.ndarray) -> tuple[int, int, int]:
     and has no P child, which is rule ii, or rule iii when v is the terminal
     (box code 0).
 
-    ``np.add.accumulate`` along an axis pays a fixed cost per line, so an
-    axis of many short lines adds whole slabs instead, one vectorised call
-    per step along it (see `SLAB_LINES_PER_STEP`)."""
+    The prefix sums add whole slabs, one vectorised call per step along
+    the axis: ``np.add.accumulate`` would instead pay a fixed cost per
+    line, and most lines of a many-heap box are short."""
     n, shape = p.ndim, p.shape
     rule_iii = int(not p.flat[0])
     if not n:  # the terminal alone
@@ -122,13 +108,10 @@ def _box_violations(p: np.ndarray) -> tuple[int, int, int]:
     part = np.empty_like(s)
     for axis, dim in enumerate(shape):
         out = part if axis else s
-        if p.size >= SLAB_LINES_PER_STEP * dim * dim:  # the axis has size / dim lines
-            out[...] = p01
-            slabs = out.reshape(-1, dim, math.prod(shape[axis + 1 :]))
-            for t in range(1, dim):
-                slabs[:, t] += slabs[:, t - 1]
-        else:
-            np.add.accumulate(p01, axis=axis, dtype=count_type, out=out)
+        out[...] = p01
+        steps = out.reshape(-1, dim, math.prod(shape[axis + 1 :])).swapaxes(0, 1)
+        for below, slab in zip(steps, steps[1:]):
+            slab += below
         if axis:
             s += part
     rule_ii = s.size - int(np.count_nonzero(s)) - rule_iii

@@ -150,10 +150,15 @@ class GameGraph:
     below it, so fitness and labeling work on the box, and the edge arrays
     are built by index arithmetic only when ``edge_src`` or ``edge_dst`` is
     first read.  A multiset graph keeps the edge arrays it is given, and
-    has None for the four box attributes.  ``nodes``, ``terminal_mask``,
-    ``terminal`` (the empty state's node id) and ``edge_offsets`` (node u's
-    edges are ``edge_offsets[u]:edge_offsets[u + 1]``) are likewise built on
-    first access.
+    has None for the four box attributes.  ``nodes``, ``terminal_mask`` and
+    ``edge_offsets`` (node u's edges are ``edge_offsets[u]:edge_offsets[u +
+    1]``) are likewise built on first access.
+
+    In both modes the terminal, the empty state, is the last node, and
+    multiset fitness relies on it.  It is on the last level in both modes.
+    Within that level it has the lexicographically largest tuple scores,
+    and in multiset mode `tests/test_game.py` checks it for every root of
+    up to six heaps of up to 6.
 
     The constructor keeps the arrays it is given, without copying: an int64
     ``(states, heaps)`` heap matrix and int64 edge arrays.  It marks them
@@ -169,7 +174,7 @@ class GameGraph:
         self.n_heaps = len(root)
         self.heap_matrix = _read_only(heap_matrix)
         self.box_shape = self.box_strides = self.box_id = self.box_axes = None
-        if box_id is not None:
+        if mode is StateSpaceMode.TUPLE:
             self.box_shape = tuple(h + 1 for h in root)
             self.box_strides = tuple(math.prod(self.box_shape[i + 1 :]) for i in range(self.n_heaps))
             self.box_id = _read_only(box_id)
@@ -188,10 +193,6 @@ class GameGraph:
     @cached_property
     def terminal_mask(self) -> np.ndarray:
         return _read_only(~self.heap_matrix.any(axis=1))
-
-    @cached_property
-    def terminal(self) -> int:
-        return int(self.terminal_mask.argmax())
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +217,7 @@ class GameGraph:
 
     @property
     def num_edges(self) -> int:
-        if self.box_id is not None:
+        if self.mode is StateSpaceMode.TUPLE:
             # heap i holds each value v <= h_i in prod(h + 1) / (h_i + 1)
             # states, so the box has prod(h + 1) * h_i / 2 moves on heap i
             return len(self.heap_matrix) * sum(self.root) // 2

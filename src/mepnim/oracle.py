@@ -18,7 +18,7 @@ import numpy as np
 # `oracle.evaluate` by name, so the name stays importable from this module.
 from .expr import Chromosome, EvalError, evaluate, evaluate_many
 from .fitness import Label
-from .game import GameGraph, GameState
+from .game import GameGraph, GameState, StateSpaceMode
 
 
 def retrograde_p_mask(graph: GameGraph) -> np.ndarray:
@@ -34,7 +34,7 @@ def retrograde_p_mask(graph: GameGraph) -> np.ndarray:
     mask = getattr(graph, "_p_mask", None)
     if mask is not None:
         return mask
-    mask = _edge_walk(graph) if graph.box_id is None else _box_walk(graph)
+    mask = _box_walk(graph) if graph.mode is StateSpaceMode.TUPLE else _edge_walk(graph)
     mask.flags.writeable = False
     graph._p_mask = mask
     return mask

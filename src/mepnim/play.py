@@ -39,7 +39,7 @@ def oracle_classifier(graph: GameGraph) -> Classifier:
     A tuple graph is looked up by box code, with no table: a state outside
     the box raises ValueError.  A multiset graph is looked up in a
     state -> Label table, which raises KeyError outside the graph."""
-    if graph.box_id is None:
+    if graph.mode is StateSpaceMode.MULTISET:
         return retrograde_labels(graph).__getitem__
     is_p, box_id, shape = retrograde_p_mask(graph), graph.box_id, graph.box_shape
 

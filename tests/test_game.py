@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import accumulate, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -181,7 +181,14 @@ class TestBuildGraph:
             for mode in (MULTISET, TUPLE):
                 graph = build_graph(random_state(rng, mode), mode)
                 terminals = [s for s in graph.nodes if is_terminal(s)]
-                assert len(terminals) == 1
+                assert terminals == [graph.nodes[-1]]  # the last node
+
+    def test_multiset_terminal_is_the_last_node(self):
+        # multiset fitness takes the last node as the terminal
+        for k in range(7):
+            for root in combinations_with_replacement(range(7), k):
+                mask = build_graph(root, MULTISET).terminal_mask
+                assert np.flatnonzero(mask).tolist() == [len(mask) - 1], root
 
     @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
     def test_graph_arrays_are_read_only(self, mode):
