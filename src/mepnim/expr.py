@@ -272,25 +272,24 @@ def evaluate(chrom: Chromosome, state, n: int | None = None) -> int:
 def _div_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.any(b == 0):
         raise EvalError("division by zero")
-    neg_one = b == -1
-    if neg_one.any():
-        # guard INT64_MIN // -1, the one overflowing integer division
-        safe = np.where(neg_one, np.int64(1), b)
-        q = _trunc_div_safe(a, safe)
-        return np.where(neg_one, -a, q)
     return _trunc_div_safe(a, b)
-
-
-def _trunc_div_safe(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    q = a // b
-    r = a - q * b
-    return q + ((r != 0) & ((a < 0) != (b < 0)))
 
 
 def _mod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.any(b == 0):
         raise EvalError("modulo by zero")
-    return a - _div_many(a, b) * b
+    return a - _trunc_div_safe(a, b) * b
+
+
+def _trunc_div_safe(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b rounded toward zero and wrapped, for divisors with no 0."""
+    neg_one = b == -1
+    if neg_one.any():
+        # guard INT64_MIN // -1, the one overflowing integer division
+        return np.where(neg_one, -a, _trunc_div_safe(a, np.where(neg_one, np.int64(1), b)))
+    q = a // b
+    r = a - q * b
+    return q + ((r != 0) & ((a < 0) != (b < 0)))
 
 
 # vectorized operators, indexed by opcode (the order of FUNCTIONS)

@@ -126,9 +126,7 @@ class GameGraph:
     threads.  Nodes are listed in breadth-first discovery order from the
     root and are referred to by their index in that order; row k of
     ``heap_matrix`` (int64) is node k, and ``nodes[k]`` is that row as a
-    state.  Edge k leads from node ``edge_src[k]`` to node ``edge_dst[k]``,
-    grouped by source in node order and, per source, in `children` order.
-    Edges always strictly decrease the total object count.
+    state.  Moves always strictly decrease the total object count.
 
     In both modes that order has a closed rule, which `build_graph`
     computes without a search.  In tuple mode a state's breadth-first level
@@ -140,19 +138,18 @@ class GameGraph:
     level L + 1 states come in order of the smallest rank among their
     parents at level L, ties going to the lexicographically larger state.
 
-    A tuple graph keeps no edge list.  Its states are the whole box of
-    shape ``box_shape`` (h + 1 per heap); a state's box code is its
-    mixed-radix index, the sum of ``state[i] * box_strides[i]`` (last heap
-    fastest), and ``box_id`` maps each box code to its node id.
-    ``box_axes[i]`` is ``np.arange(h_i + 1)`` shaped to axis i of the box,
-    so the axes broadcast together to every state's heaps in box order.
-    The children of a state are the states ``t * box_strides[i]`` codes
-    below it, so fitness and labeling work on the box, and the edge arrays
-    are built by index arithmetic only when ``edge_src`` or ``edge_dst`` is
-    first read.  A multiset graph keeps the edge arrays it is given, and
-    has None for the four box attributes.  ``nodes``, ``terminal_mask`` and
-    ``edge_offsets`` (node u's edges are ``edge_offsets[u]:edge_offsets[u +
-    1]``) are likewise built on first access.
+    A tuple graph is only its box, with no edges: ``edge_offsets`` and
+    ``edge_dst`` are None.  Its states are the whole box of shape
+    ``box_shape`` (h + 1 per heap); a state's box code is its mixed-radix
+    index, the sum of ``state[i] * box_strides[i]`` (last heap fastest),
+    and ``box_id`` maps each box code to its node id.  ``box_axes[i]`` is
+    ``np.arange(h_i + 1)`` shaped to axis i of the box, so the axes
+    broadcast together to every state's heaps in box order.  The children
+    of a state are the states ``t * box_strides[i]`` codes below it, so
+    fitness and labeling work on the box.  A multiset graph has None for
+    the four box attributes and keeps its edges: node u's children are
+    ``edge_dst[edge_offsets[u]:edge_offsets[u + 1]]``, in `children`
+    order.  ``nodes`` is built on first access.
 
     In both modes the terminal, the empty state, is the last node, and
     multiset fitness relies on it.  It is on the last level in both modes.
@@ -162,25 +159,27 @@ class GameGraph:
 
     The constructor keeps the arrays it is given, without copying: an int64
     ``(states, heaps)`` heap matrix and int64 edge arrays.  It marks them
-    read-only, as it does every array it builds later, so a view handed out
+    read-only, as it does every array it builds, so a view handed out
     of the graph (such as a heap column that `evaluate_many` returns)
     cannot change it, and `oracle.retrograde_p_mask` can keep its labeling
     on the graph.
     """
 
-    def __init__(self, root: GameState, mode: StateSpaceMode, heap_matrix: np.ndarray, edge_src: np.ndarray | None = None, edge_dst: np.ndarray | None = None, box_id: np.ndarray | None = None):
+    def __init__(self, root: GameState, mode: StateSpaceMode, heap_matrix: np.ndarray, edge_offsets: np.ndarray | None = None, edge_dst: np.ndarray | None = None, box_id: np.ndarray | None = None):
         self.root = root
         self.mode = mode
         self.n_heaps = len(root)
         self.heap_matrix = _read_only(heap_matrix)
         self.box_shape = self.box_strides = self.box_id = self.box_axes = None
+        self.edge_offsets = self.edge_dst = None
         if mode is StateSpaceMode.TUPLE:
             self.box_shape = tuple(h + 1 for h in root)
             self.box_strides = tuple(math.prod(self.box_shape[i + 1 :]) for i in range(self.n_heaps))
             self.box_id = _read_only(box_id)
             self.box_axes = tuple(map(_read_only, np.ix_(*(np.arange(dim, dtype=np.int64) for dim in self.box_shape))))
         else:
-            self._edges = (_read_only(edge_src), _read_only(edge_dst))
+            self.edge_offsets = _read_only(edge_offsets)
+            self.edge_dst = _read_only(edge_dst)
 
     @cached_property
     def nodes(self) -> tuple[GameState, ...]:
@@ -189,27 +188,6 @@ class GameGraph:
         if not self.n_heaps:
             return ((),) * len(self.heap_matrix)
         return tuple(zip(*self.heap_matrix.T.tolist()))
-
-    @cached_property
-    def terminal_mask(self) -> np.ndarray:
-        return _read_only(~self.heap_matrix.any(axis=1))
-
-    @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        # reached only in tuple mode: a multiset graph sets it on construction
-        return tuple(map(_read_only, _tuple_edges(self)))
-
-    @cached_property
-    def edge_offsets(self) -> np.ndarray:
-        return _read_only(np.searchsorted(self.edge_src, np.arange(self.num_nodes + 1)))
-
-    @property
-    def edge_src(self) -> np.ndarray:
-        return self._edges[0]
-
-    @property
-    def edge_dst(self) -> np.ndarray:
-        return self._edges[1]
 
     @property
     def num_nodes(self) -> int:
@@ -221,7 +199,7 @@ class GameGraph:
             # heap i holds each value v <= h_i in prod(h + 1) / (h_i + 1)
             # states, so the box has prod(h + 1) * h_i / 2 moves on heap i
             return len(self.heap_matrix) * sum(self.root) // 2
-        return len(self.edge_src)
+        return len(self.edge_dst)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -265,28 +243,6 @@ def _tuple_graph(start: GameState) -> GameGraph:
     box_id = np.empty(size, dtype=narrow)  # box code -> node id
     box_id[order] = np.arange(size, dtype=narrow)
     return GameGraph(start, StateSpaceMode.TUPLE, heap_matrix, box_id=box_id)
-
-
-def _tuple_edges(graph: GameGraph) -> tuple[np.ndarray, np.ndarray]:
-    """A tuple graph's int64 edge arrays.  Its edges go heap ascending, then
-    take ascending, which is `children` order, and the child of taking t
-    from heap i has box code ``code - t * box_strides[i]``."""
-    heap_matrix, size = graph.heap_matrix, graph.num_nodes
-    counts = heap_matrix.ravel()  # per (node, heap): its edges on that heap
-    out_degree = heap_matrix.sum(axis=1)
-    edge_src = np.repeat(np.arange(size), out_degree)
-    # every box code is below the node count, at most one more than the
-    # edge count, so the per-edge temporaries fit the type of the latter
-    narrow = np.int32 if len(edge_src) < 2**31 else np.int64
-    take = np.arange(1, len(edge_src) + 1, dtype=narrow)
-    take -= np.repeat((np.cumsum(counts) - counts).astype(narrow), counts)  # 1..count per (node, heap)
-    strides = np.array(graph.box_strides, dtype=narrow)
-    take *= np.repeat(np.tile(strides, size), counts)
-    code = np.repeat((heap_matrix @ strides.astype(np.int64)).astype(narrow), out_degree)
-    code -= take
-    del take
-    edge_dst = graph.box_id[code].astype(np.int64)
-    return edge_src, edge_dst
 
 
 def _multiset_graph(start: GameState) -> GameGraph:
@@ -383,12 +339,12 @@ def _multiset_graph(start: GameState) -> GameGraph:
     del states, ascending
     first_edge = np.cumsum(out_degree, dtype=narrow) - out_degree
     out_degree = out_degree[order]
-    moved = first_edge[order] - (np.cumsum(out_degree, dtype=narrow) - out_degree)
+    edge_offsets = np.concatenate(([0], np.cumsum(out_degree, dtype=np.int64)))
+    moved = (first_edge[order] - edge_offsets[:-1]).astype(narrow)
     del first_edge
     position = np.arange(n_edges, dtype=narrow)
     position += np.repeat(moved, out_degree)
     del moved
     edge_dst = rank[child[position]]
     del child, position
-    edge_src = np.repeat(np.arange(size), out_degree)
-    return GameGraph(start, StateSpaceMode.MULTISET, heap_matrix, edge_src, edge_dst)
+    return GameGraph(start, StateSpaceMode.MULTISET, heap_matrix, edge_offsets, edge_dst)

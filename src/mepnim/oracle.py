@@ -41,11 +41,11 @@ def retrograde_p_mask(graph: GameGraph) -> np.ndarray:
 
 
 def _edge_walk(graph: GameGraph) -> np.ndarray:
-    """The level walk over the edge arrays.  A node is P exactly when it
-    has no P child, so only `has_p_child` is kept.  Edges are grouped by
-    source in node order, so node u's edges are the ids first[u]:first[u +
-    1]; each level's ids are built from those ranges when it comes up, and
-    no temporary outgrows one level."""
+    """The level walk over a multiset graph's edges.  A node is P exactly
+    when it has no P child, so only `has_p_child` is kept.  Node u's edges
+    are the ids first[u]:first[u + 1]; each level's edge ids and their
+    sources are built from those ranges when it comes up, and no temporary
+    outgrows one level."""
     levels = graph.heap_matrix.sum(axis=1)
     # the narrowest unsigned type lets the stable argsort run as a radix sort
     levels = levels.astype(np.min_scalar_type(levels.max()))
@@ -59,7 +59,8 @@ def _edge_walk(graph: GameGraph) -> np.ndarray:
     for hi in np.cumsum(np.bincount(levels)).tolist():
         hi_edge = int(ends[hi - 1])  # level 0 holds the terminal, so hi > 0
         edges = np.arange(lo_edge, hi_edge) + np.repeat(shift[lo:hi], count[lo:hi])
-        has_p_child[graph.edge_src[edges[~has_p_child[graph.edge_dst[edges]]]]] = True
+        sources = np.repeat(by_level[lo:hi], count[lo:hi])
+        has_p_child[sources[~has_p_child[graph.edge_dst[edges]]]] = True
         lo, lo_edge = hi, hi_edge
     return ~has_p_child
 

@@ -1,6 +1,8 @@
-"""Shared chromosome builders for the test suite."""
+"""Shared chromosome builders and the reference game search for the test
+suite."""
 
 from mepnim.expr import Chromosome, Gene
+from mepnim.game import canonicalize, children
 
 
 def chrom(*specs) -> Chromosome:
@@ -35,3 +37,20 @@ def xor3_minus_a4() -> Chromosome:
 def worked_example() -> Chromosome:
     """a1 - a1*a2, the hand-scored example with fitness 4 on (2,1)."""
     return chrom("a1", "a2", ("*", 1, 2), ("-", 1, 3))
+
+
+def reference_bfs(root, mode):
+    """Breadth-first closure of `children` from the root: nodes in discovery
+    order, edges grouped by source in node order and per source in
+    `children` order.  The slow reference for `build_graph`, and the edges
+    of a tuple graph, which stores none."""
+    start = canonicalize(root, mode)
+    nodes, index, src, dst = [start], {start: 0}, [], []
+    for i, state in enumerate(nodes):  # grows while iterated
+        for child in children(state, mode):
+            if child not in index:
+                index[child] = len(nodes)
+                nodes.append(child)
+            src.append(i)
+            dst.append(index[child])
+    return nodes, src, dst

@@ -1,13 +1,13 @@
 """A tuple game is built, labeled, verified, scored and played against the
-oracle without its edge arrays or its node tuples."""
+oracle without edge arrays, which a tuple graph does not have, or its node
+tuples."""
 
 import pytest
 
 from conftest import chrom, xor_chain
-from mepnim import game
 from mepnim.cli import main
 from mepnim.fitness import FitnessBreakdown, Label, graph_fitness
-from mepnim.game import StateSpaceMode, build_graph
+from mepnim.game import GameGraph, StateSpaceMode, build_graph
 from mepnim.oracle import bouton_label, retrograde_p_mask, verify_formula
 from mepnim.play import classifier_strategy, formula_classifier, oracle_classifier, play_game
 
@@ -17,10 +17,11 @@ TUPLE = StateSpaceMode.TUPLE
 @pytest.fixture
 def no_edges_or_nodes(monkeypatch):
     def refuse(*args):
-        pytest.fail("a tuple graph built its edge arrays or node tuples")
+        pytest.fail("a tuple graph built its node tuples")
 
-    monkeypatch.setattr(game, "_tuple_edges", refuse)
-    monkeypatch.setattr(game.GameGraph, "nodes", property(refuse))
+    monkeypatch.setattr(GameGraph, "nodes", property(refuse))
+    graph = build_graph((2, 1), TUPLE)
+    assert graph.edge_offsets is None and graph.edge_dst is None
 
 
 def test_tuple_pipeline_builds_no_edges(no_edges_or_nodes):

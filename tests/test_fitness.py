@@ -1,12 +1,13 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chrom, worked_example, xor3_minus_a4, xor_chain
-from mepnim.expr import Chromosome, EvalError, Gene, evaluate_many
+from conftest import chrom, reference_bfs, worked_example, xor3_minus_a4, xor_chain
+from mepnim.expr import Chromosome, EvalError, Gene, evaluate, evaluate_many
 from mepnim.fitness import INVALID, FitnessBreakdown, Label, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph
 from mepnim.genetics import random_chromosome
@@ -113,31 +114,41 @@ class TestGraphFitness:
         assert verify_formula(xor_chain(4), graph_4444).agrees
 
 
-def edge_list_fitness(c, graph):
-    """`graph_fitness` by scanning the edge arrays: the reference for the
-    box computation of tuple graphs and the per-source sums of multiset
-    graphs."""
+def reference_edges(graph):
+    """The graph's edges from `reference_bfs`, as int64 source and target
+    arrays over its node ids."""
+    _, src, dst = reference_bfs(graph.root, graph.mode)
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+
+def edge_list_fitness(c, graph, edges):
+    """`graph_fitness` by scanning the `reference_edges` of the graph: the
+    reference for the box computation of tuple graphs and the per-source
+    sums of multiset graphs."""
     try:
         p = evaluate_many(c, graph.heap_matrix, graph.n_heaps) == 0
     except EvalError:
         return INVALID, None
-    rule_i = int(np.count_nonzero(p[graph.edge_src] & p[graph.edge_dst]))
+    src, dst = edges
+    terminal = ~graph.heap_matrix.any(axis=1)
+    rule_i = int(np.count_nonzero(p[src] & p[dst]))
     has_p_child = np.zeros(graph.num_nodes, dtype=bool)
-    has_p_child[graph.edge_src[p[graph.edge_dst]]] = True
-    rule_ii = int(np.count_nonzero(~p & ~graph.terminal_mask & ~has_p_child))
-    rule_iii = int(np.count_nonzero(~p & graph.terminal_mask))
+    has_p_child[src[p[dst]]] = True
+    rule_ii = int(np.count_nonzero(~p & ~terminal & ~has_p_child))
+    rule_iii = int(np.count_nonzero(~p & terminal))
     return rule_i + rule_ii + rule_iii, FitnessBreakdown(rule_i, rule_ii, rule_iii)
 
 
-def int64_min_over_minus_one() -> Chromosome:
-    """((2^63 wrapped to INT64_MIN) + a1) div (not 0), minus INT64_MIN: at
+def int64_min_over_minus_one(op: str = "div") -> Chromosome:
+    """((2^63 wrapped to INT64_MIN) + a1) `op` (not 0), minus INT64_MIN: at
     a1 = 0 the division is INT64_MIN div -1, the one overflowing integer
-    division, and the formula is 0 exactly there."""
+    division, and the formula is 0 exactly there.  With `op` "mod" every
+    remainder is 0, and the formula is INT64_MIN everywhere."""
     return chrom(
         "n", ("-", 1, 1), ("not", 2), ("-", 2, 3), ("+", 4, 4),  # 0, -1, 1, 2
         ("*", 5, 5), ("*", 6, 6), ("*", 7, 7), ("*", 8, 8), ("*", 9, 9),  # 4, 16, 2^8, 2^16, 2^32
         ("*", 10, 9), ("*", 11, 8), ("*", 12, 7), ("*", 13, 6), ("*", 14, 5),  # 2^48 ... 2^63
-        "a1", ("+", 15, 16), ("div", 17, 3), ("-", 18, 15),
+        "a1", ("+", 15, 16), (op, 17, 3), ("-", 18, 15),
     )
 
 
@@ -166,8 +177,9 @@ def test_box_fitness_equals_edge_list_fitness(root, seeds):
     graph = build_graph(root, TUPLE)
     n = len(root)
     formulas = [random_chromosome(1 + seed % 15, n, random.Random(seed)) for seed in seeds]
+    edges = reference_edges(graph)
     for c in formulas + special_formulas(n):
-        assert graph_fitness(c, graph) == edge_list_fitness(c, graph), (root, c)
+        assert graph_fitness(c, graph) == edge_list_fitness(c, graph, edges), (root, c)
 
 
 def test_int64_min_over_minus_one_formula():
@@ -175,6 +187,18 @@ def test_int64_min_over_minus_one_formula():
     graph = build_graph((3, 1), TUPLE)
     values = evaluate_many(int64_min_over_minus_one(), graph.heap_matrix)
     assert ((values == 0) == (graph.heap_matrix[:, 0] == 0)).all()
+
+
+@pytest.mark.parametrize("op", ["div", "mod"])
+def test_int64_min_over_minus_one_equals_scalar_evaluate_without_warnings(op):
+    # numpy's floor_divide also gives INT64_MIN for INT64_MIN // -1, but
+    # warns of the overflow; the vectorised operators must not reach it
+    graph = build_graph((3, 1), TUPLE)
+    formula = int64_min_over_minus_one(op)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = evaluate_many(formula, graph.heap_matrix)
+    assert values.tolist() == [evaluate(formula, state) for state in graph.heap_matrix.tolist()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,5 +211,6 @@ def test_multiset_fitness_equals_edge_list_fitness(root, seeds):
     graph = build_graph(root, MULTISET)
     n = len(root)
     formulas = [random_chromosome(1 + seed % 15, n, random.Random(seed)) for seed in seeds]
+    edges = reference_edges(graph)
     for c in formulas + special_formulas(n):
-        assert graph_fitness(c, graph) == edge_list_fitness(c, graph), (root, c)
+        assert graph_fitness(c, graph) == edge_list_fitness(c, graph, edges), (root, c)

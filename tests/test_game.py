@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_bfs
 from mepnim.expr import Chromosome, Gene, evaluate_many
 from mepnim.game import (
     StateSpaceMode,
@@ -164,16 +165,17 @@ class TestBuildGraph:
         assert graph.num_nodes == math.comb(n + c, c)
 
     def test_edges_strictly_decrease_total(self):
+        # a tuple graph stores no edges; its box children are held to
+        # `reference_bfs` by the fitness and labeling tests
         rng = random.Random(14)
         for _ in range(20):
-            for mode in (MULTISET, TUPLE):
-                graph = build_graph(random_state(rng, mode), mode)
-                sources = set(graph.edge_src.tolist())
-                for i, state in enumerate(graph.nodes):
-                    if not is_terminal(state):
-                        assert i in sources, "non-terminal node must have children"
-                for i, j in zip(graph.edge_src.tolist(), graph.edge_dst.tolist()):
-                    assert sum(graph.nodes[j]) < sum(graph.nodes[i])
+            graph = build_graph(random_state(rng, MULTISET), MULTISET)
+            offsets = graph.edge_offsets.tolist()
+            for i, state in enumerate(graph.nodes):
+                kids = graph.edge_dst[offsets[i] : offsets[i + 1]].tolist()
+                assert bool(kids) == (not is_terminal(state)), "non-terminal node must have children"
+                for j in kids:
+                    assert sum(graph.nodes[j]) < sum(state)
 
     def test_exactly_one_terminal_reachable(self):
         rng = random.Random(15)
@@ -187,13 +189,14 @@ class TestBuildGraph:
         # multiset fitness takes the last node as the terminal
         for k in range(7):
             for root in combinations_with_replacement(range(7), k):
-                mask = build_graph(root, MULTISET).terminal_mask
+                mask = ~build_graph(root, MULTISET).heap_matrix.any(axis=1)
                 assert np.flatnonzero(mask).tolist() == [len(mask) - 1], root
 
     @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
     def test_graph_arrays_are_read_only(self, mode):
         graph = build_graph((3, 2, 1), mode)
-        for array in (graph.heap_matrix, graph.edge_src, graph.edge_dst, graph.terminal_mask):
+        arrays = (graph.edge_offsets, graph.edge_dst) if mode is MULTISET else (graph.box_id, *graph.box_axes)
+        for array in (graph.heap_matrix, *arrays):
             with pytest.raises(ValueError):
                 array[0] = 1
         # a formula that is one heap returns a view of that heap's column
@@ -207,24 +210,8 @@ class TestBuildGraph:
         a = build_graph((3, 2, 1), MULTISET)
         b = build_graph((3, 2, 1), MULTISET)
         assert a.nodes == b.nodes
-        assert a.edge_src.tolist() == b.edge_src.tolist()
+        assert a.edge_offsets.tolist() == b.edge_offsets.tolist()
         assert a.edge_dst.tolist() == b.edge_dst.tolist()
-
-
-def reference_bfs(root, mode):
-    """Breadth-first closure of `children` from the root: nodes in discovery
-    order, edges grouped by source in node order and per source in
-    `children` order.  The slow reference for `build_graph`."""
-    start = canonicalize(root, mode)
-    nodes, index, src, dst = [start], {start: 0}, [], []
-    for i, state in enumerate(nodes):  # grows while iterated
-        for child in children(state, mode):
-            if child not in index:
-                index[child] = len(nodes)
-                nodes.append(child)
-            src.append(i)
-            dst.append(index[child])
-    return nodes, src, dst
 
 
 def assert_equals_reference_bfs(root, mode):
@@ -234,7 +221,11 @@ def assert_equals_reference_bfs(root, mode):
     assert graph.heap_matrix.dtype == np.int64
     assert graph.heap_matrix.shape == (len(nodes), len(root))
     assert graph.heap_matrix.tolist() == [list(s) for s in nodes]
-    assert graph.edge_src.tolist() == src
+    if mode is TUPLE:
+        assert graph.edge_offsets is None and graph.edge_dst is None
+        return
+    assert graph.edge_offsets.dtype == graph.edge_dst.dtype == np.int64
+    assert graph.edge_offsets.tolist() == [0, *accumulate(np.bincount(src, minlength=len(nodes)).tolist())]
     assert graph.edge_dst.tolist() == dst
 
 
@@ -322,8 +313,9 @@ def test_tuple_build_and_score_peak_memory():
 @example([0, 3, 0, 2], TUPLE).via("empty heaps between")
 def test_edge_count_equals_edge_arrays(root, mode):
     graph = build_graph(root, mode)
-    count = graph.num_edges  # read first: in tuple mode it builds no edges
-    assert count == len(graph.edge_src) == len(graph.edge_dst)
+    assert graph.num_edges == len(reference_bfs(root, mode)[2])
+    if mode is MULTISET:
+        assert graph.num_edges == len(graph.edge_dst) == graph.edge_offsets[-1]
 
 
 @settings(max_examples=80, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chrom, worked_example, xor3_minus_a4, xor_chain
+from conftest import chrom, reference_bfs, worked_example, xor3_minus_a4, xor_chain
 from mepnim import oracle
 from mepnim.fitness import Label, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph, is_terminal
@@ -68,10 +68,11 @@ def test_rule_satisfying_labeling_is_unique():
     # one satisfies the three rules, and it is the retrograde labeling
     graph = build_graph((2, 1), TUPLE)
     nodes = graph.nodes
+    _, src, dst = reference_bfs(graph.root, TUPLE)
 
     def violates(assignment):
         for i, state in enumerate(nodes):
-            kids = graph.edge_dst[graph.edge_src == i].tolist()
+            kids = [v for u, v in zip(src, dst) if u == i]
             if is_terminal(state):
                 if not assignment[i]:
                     return True  # terminal labeled N
@@ -142,10 +143,11 @@ def test_retrograde_mask_equals_xor_rule(case):
 
 
 def edge_walk_p_mask(graph):
-    """P-mask by backward induction over the edge arrays, in plain Python:
-    the reference for the box walk of tuple graphs."""
+    """P-mask by backward induction over the `reference_bfs` edges, in plain
+    Python: the reference for the box walk of tuple graphs."""
     kids = [[] for _ in range(graph.num_nodes)]
-    for u, v in zip(graph.edge_src.tolist(), graph.edge_dst.tolist()):
+    _, src, dst = reference_bfs(graph.root, graph.mode)
+    for u, v in zip(src, dst):
         kids[u].append(v)
     totals = graph.heap_matrix.sum(axis=1).tolist()
     is_p = [False] * graph.num_nodes

@@ -36,6 +36,7 @@ GAMES = {
     625: ((4, 4, 4, 4), "tuple"),
     5005: ((9, 9, 9, 9, 9, 9), "multiset"),
     32768: ((7, 7, 7, 7, 7), "tuple"),
+    230230: ((20, 20, 20, 20, 20, 20), "multiset"),
     1000000: ((9, 9, 9, 9, 9, 9), "tuple"),
 }
 
