@@ -25,6 +25,7 @@ from .fitness import INVALID, FitnessBreakdown, Label, graph_fitness
 from .game import (
     GameGraph,
     StateSpaceMode,
+    bfs_order,
     build_graph,
     canonicalize,
     children,

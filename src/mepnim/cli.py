@@ -28,7 +28,7 @@ from .expr import (
     parse_chromosome,
 )
 from .fitness import INVALID, graph_fitness
-from .game import StateSpaceMode, build_graph, canonicalize, state_count
+from .game import StateSpaceMode, bfs_order, build_graph, canonicalize, state_count
 from .genetics import OperatorConfig
 from .oracle import retrograde_p_mask, verify_formula
 from .play import (
@@ -252,6 +252,12 @@ def _state_text(state) -> str:
     return f"({', '.join(str(h) for h in state)})"
 
 
+def _oracle_table(graph):
+    """Each state and its oracle P flag, in the breadth-first order printed."""
+    nodes, is_p = graph.nodes, retrograde_p_mask(graph).tolist()
+    return ((nodes[k], is_p[k]) for k in bfs_order(graph))
+
+
 def _cmd_evolve(args) -> int:
     """search for a zero-violation formula"""
     try:
@@ -318,7 +324,7 @@ def _cmd_fitness(args) -> int:
 def _cmd_oracle(args) -> int:
     """print the ground-truth P/N table"""
     graph = _build(args, args.heaps)
-    for state, is_p in zip(graph.nodes, retrograde_p_mask(graph).tolist()):
+    for state, is_p in _oracle_table(graph):
         print(f"{_state_text(state)}: {'P' if is_p else 'N'}")
     return EXIT_OK
 
@@ -337,10 +343,10 @@ def _cmd_verify(args) -> int:
         print(f"formula agrees with the oracle on all {graph.num_nodes} states")
         return EXIT_OK
     print(f"formula disagrees with the oracle on {len(result.disagreements)} of {graph.num_nodes} states:")
-    # the disagreements come in node order, so one pass over the nodes
-    # meets them in the order they are listed
+    # the disagreements come in node order (by state code); they are
+    # listed in breadth-first order, like the oracle table
     wrong = set(result.disagreements)
-    for state, is_p in zip(graph.nodes, retrograde_p_mask(graph).tolist()):
+    for state, is_p in _oracle_table(graph):
         if state in wrong:
             formula, oracle = ("N", "P") if is_p else ("P", "N")
             print(f"  {_state_text(state)}: formula={formula} oracle={oracle}")
@@ -380,6 +386,7 @@ def _cmd_play(args) -> int:
         raise UsageError(
             f"formula references heap a{max_heap_ref(chrom) + 1} but the game has {len(start)} heaps"
         )
+    _check_size(args, start)  # every opponent lists the children of each state it meets
     classifier = formula_classifier(chrom, len(start))
 
     if args.human:
@@ -390,7 +397,7 @@ def _cmd_play(args) -> int:
     if args.vs == "random":
         opponent = random_strategy(random.Random(args.seed), mode)
     else:
-        opponent = classifier_strategy(oracle_classifier(_build(args, start)), mode)
+        opponent = classifier_strategy(oracle_classifier(build_graph(start, mode)), mode)
 
     wins = 0
     for _ in range(args.games):

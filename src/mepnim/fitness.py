@@ -67,17 +67,17 @@ def _edge_violations(p: np.ndarray, graph: GameGraph) -> tuple[int, int, int]:
 
     ``np.add.reduceat`` over the edge offsets sums the P-mask of each
     node's children, c[u], so rule i is c . p and rule ii counts the nodes
-    where c + p is 0.  The terminal, the last node and the only one with
-    no edges, is left out of both: reduceat cannot give an empty range a
-    sum of 0."""
-    rule_iii = int(not p[-1])
+    where c + p is 0.  The terminal, node 0 and the only one with no
+    edges, is left out of both: reduceat cannot give an empty range a sum
+    of 0."""
+    rule_iii = int(not p[0])
     sources = len(p) - 1
     if not sources:  # the terminal alone, with no edges
         return 0, 0, rule_iii
     edge_dst = graph.edge_dst
     count_type = np.int32 if len(edge_dst) < 2**31 else np.int64  # holds the edge count
-    c = np.add.reduceat(p[edge_dst], graph.edge_offsets[:sources], dtype=count_type)
-    p = p[:sources]
+    c = np.add.reduceat(p[edge_dst], graph.edge_offsets[1:-1], dtype=count_type)
+    p = p[1:]
     rule_i = int(c @ p)
     c += p
     rule_ii = sources - int(np.count_nonzero(c))

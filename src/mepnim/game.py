@@ -123,39 +123,29 @@ class GameGraph:
     """Deduplicated DAG of every state reachable from a root.
 
     Built once by `build_graph`, then immutable; safe to share across
-    threads.  Nodes are listed in breadth-first discovery order from the
-    root and are referred to by their index in that order; row k of
-    ``heap_matrix`` (int64) is node k, and ``nodes[k]`` is that row as a
-    state.  Moves always strictly decrease the total object count.
-
-    In both modes that order has a closed rule, which `build_graph`
-    computes without a search.  In tuple mode a state's breadth-first level
-    is the number of heaps that differ from the root, and within a level
-    states come in lexicographic order of their per-heap scores,
-    ``root[i] - state[i]`` for a heap that differs and +infinity for one
-    that does not.  In multiset mode a state's level is the number of heaps
-    minus the size of its multiset intersection with the root, and within
-    level L + 1 states come in order of the smallest rank among their
-    parents at level L, ties going to the lexicographically larger state.
+    threads.  A node's id is its state's code, the state's rank among the
+    graph's states in lexicographic order: the box code in tuple mode, the
+    rank `build_graph` computes in multiset mode.  So node 0 is the
+    terminal (the empty state) and node ``num_nodes - 1`` is the root.  Row
+    k of ``heap_matrix`` (int64) is node k, and ``nodes[k]`` is that row as
+    a state.  Moves always strictly decrease the total object count.
+    `bfs_order` gives the node ids in breadth-first discovery order from
+    the root, the order the CLI prints states in.
 
     A tuple graph is only its box, with no edges: ``edge_offsets`` and
     ``edge_dst`` are None.  Its states are the whole box of shape
     ``box_shape`` (h + 1 per heap); a state's box code is its mixed-radix
-    index, the sum of ``state[i] * box_strides[i]`` (last heap fastest),
-    and ``box_id`` maps each box code to its node id.  ``box_axes[i]`` is
-    ``np.arange(h_i + 1)`` shaped to axis i of the box, so the axes
-    broadcast together to every state's heaps in box order.  The children
-    of a state are the states ``t * box_strides[i]`` codes below it, so
-    fitness and labeling work on the box.  A multiset graph has None for
-    the four box attributes and keeps its edges: node u's children are
-    ``edge_dst[edge_offsets[u]:edge_offsets[u + 1]]``, in `children`
-    order.  ``nodes`` is built on first access.
+    index, the sum of ``state[i] * box_strides[i]`` (last heap fastest).
+    ``box_axes[i]`` is ``np.arange(h_i + 1)`` shaped to axis i of the box,
+    so the axes broadcast together to every state's heaps in box order.
+    The children of a state are the states ``t * box_strides[i]`` codes
+    below it, so fitness, labeling and verification work on the box, and
+    ``heap_matrix`` is built from `np.indices` only when it is first read.
 
-    In both modes the terminal, the empty state, is the last node, and
-    multiset fitness relies on it.  It is on the last level in both modes.
-    Within that level it has the lexicographically largest tuple scores,
-    and in multiset mode `tests/test_game.py` checks it for every root of
-    up to six heaps of up to 6.
+    A multiset graph has None for the three box attributes and keeps its
+    edges: node u's children are ``edge_dst[edge_offsets[u]:edge_offsets[u
+    + 1]]``, in `children` order.  ``nodes`` is built on first access in
+    both modes.
 
     The constructor keeps the arrays it is given, without copying: an int64
     ``(states, heaps)`` heap matrix and int64 edge arrays.  It marks them
@@ -165,32 +155,39 @@ class GameGraph:
     on the graph.
     """
 
-    def __init__(self, root: GameState, mode: StateSpaceMode, heap_matrix: np.ndarray, edge_offsets: np.ndarray | None = None, edge_dst: np.ndarray | None = None, box_id: np.ndarray | None = None):
+    def __init__(self, root: GameState, mode: StateSpaceMode, heap_matrix: np.ndarray | None = None, edge_offsets: np.ndarray | None = None, edge_dst: np.ndarray | None = None):
         self.root = root
         self.mode = mode
         self.n_heaps = len(root)
-        self.heap_matrix = _read_only(heap_matrix)
-        self.box_shape = self.box_strides = self.box_id = self.box_axes = None
+        self.box_shape = self.box_strides = self.box_axes = None
         self.edge_offsets = self.edge_dst = None
         if mode is StateSpaceMode.TUPLE:
             self.box_shape = tuple(h + 1 for h in root)
             self.box_strides = tuple(math.prod(self.box_shape[i + 1 :]) for i in range(self.n_heaps))
-            self.box_id = _read_only(box_id)
             self.box_axes = tuple(map(_read_only, np.ix_(*(np.arange(dim, dtype=np.int64) for dim in self.box_shape))))
         else:
+            self.heap_matrix = _read_only(heap_matrix)
             self.edge_offsets = _read_only(edge_offsets)
             self.edge_dst = _read_only(edge_dst)
+
+    @cached_property
+    def heap_matrix(self) -> np.ndarray:
+        # a tuple graph's, in box order; the constructor sets a multiset one's
+        box = np.indices(self.box_shape, dtype=np.int64).reshape(self.n_heaps, self.num_nodes)
+        return _read_only(box).T
 
     @cached_property
     def nodes(self) -> tuple[GameState, ...]:
         # zipping the columns makes the row tuples without a list per row,
         # which would fragment the small-object heap; no heaps means no columns
         if not self.n_heaps:
-            return ((),) * len(self.heap_matrix)
+            return ((),) * self.num_nodes
         return tuple(zip(*self.heap_matrix.T.tolist()))
 
     @property
     def num_nodes(self) -> int:
+        if self.mode is StateSpaceMode.TUPLE:
+            return math.prod(self.box_shape)
         return len(self.heap_matrix)
 
     @property
@@ -198,7 +195,7 @@ class GameGraph:
         if self.mode is StateSpaceMode.TUPLE:
             # heap i holds each value v <= h_i in prod(h + 1) / (h_i + 1)
             # states, so the box has prod(h + 1) * h_i / 2 moves on heap i
-            return len(self.heap_matrix) * sum(self.root) // 2
+            return self.num_nodes * sum(self.root) // 2
         return len(self.edge_dst)
 
 
@@ -208,55 +205,74 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def build_graph(root, mode: StateSpaceMode) -> GameGraph:
-    """Every state reachable from the canonicalized root, in the
-    breadth-first order `GameGraph` describes, computed with numpy and no
-    search: by sorting the box in tuple mode, and by ranking each level
-    from the ranks of the level before in multiset mode, where the edges
-    are built too."""
+    """Every state reachable from the canonicalized root, with node ids as
+    `GameGraph` describes: in tuple mode the box, with nothing to compute,
+    and in multiset mode the states and edges in rank order, computed with
+    numpy and no search."""
     start = canonicalize(root, mode)
     if mode is StateSpaceMode.TUPLE:
-        return _tuple_graph(start)
+        return GameGraph(start, mode)
     return _multiset_graph(start)
 
 
-def _tuple_graph(start: GameState) -> GameGraph:
-    """The box prod(h + 1) of tuple states in breadth-first order, with no
-    search and no edges: the heap matrix and the node id of each box code
-    (a state's mixed-radix index, last heap fastest)."""
-    n = len(start)
-    dims = tuple(h + 1 for h in start)
-    size = math.prod(dims)
-    unchanged = max(start, default=0) + 1  # above every root[i] - state[i]
-    # wide enough for `unchanged` too: np.where keeps the arrays' type and
-    # would wrap it (a largest heap of 255 in uint8 would score 0)
-    value_type = np.min_scalar_type(unchanged)
-    box = np.indices(dims, dtype=value_type).reshape(n, size)  # box[i, code]: heap i of that state
-    root = np.array(start, dtype=value_type).reshape(n, 1)
-    differs = box != root
-    scores = np.where(differs, root - box, value_type.type(unchanged))
-    # lexsort's last key is the primary one: level, then heap 0, 1, ...
-    order = np.lexsort((*scores[::-1], differs.sum(axis=0)))  # node id -> box code
-    del differs, scores
-    heap_matrix = box.T[order].astype(np.int64)
-    del box
-    narrow = np.int32 if size < 2**31 else np.int64
-    box_id = np.empty(size, dtype=narrow)  # box code -> node id
-    box_id[order] = np.arange(size, dtype=narrow)
-    return GameGraph(start, StateSpaceMode.TUPLE, heap_matrix, box_id=box_id)
+def bfs_order(graph: GameGraph) -> np.ndarray:
+    """The node ids in breadth-first discovery order from the root, with
+    each state's children met in `children` order, computed with numpy and
+    no search.
+
+    In tuple mode a state's breadth-first level is the number of heaps
+    that differ from the root, and within a level states come in
+    lexicographic order of their per-heap scores, ``root[i] - state[i]``
+    for a heap that differs and +infinity for one that does not.  In
+    multiset mode a state's level is the number of heaps minus the size of
+    its multiset intersection with the root, and within level L + 1 states
+    come in order of the smallest breadth-first position among their
+    parents at level L, ties going to the larger rank."""
+    if graph.mode is StateSpaceMode.TUPLE:
+        unchanged = max(graph.root, default=0) + 1  # above every root[i] - state[i]
+        # wide enough for `unchanged` too: np.where keeps the arrays' type and
+        # would wrap it (a largest heap of 255 in uint8 would score 0)
+        value_type = np.min_scalar_type(unchanged)
+        # box[i, id]: heap i of that state
+        box = np.indices(graph.box_shape, dtype=value_type).reshape(graph.n_heaps, graph.num_nodes)
+        root = np.array(graph.root, dtype=value_type).reshape(-1, 1)
+        differs = box != root
+        scores = np.where(differs, root - box, value_type.type(unchanged))
+        # lexsort's last key is the primary one: level, then heap 0, 1, ...
+        return np.lexsort((*scores[::-1], differs.sum(axis=0)))
+    size, k = graph.num_nodes, graph.n_heaps
+    # a state's level is k minus its multiset intersection with the root
+    level = np.full(size, k, dtype=np.min_scalar_type(k))
+    for h, m in Counter(graph.root).items():
+        level -= np.minimum(np.count_nonzero(graph.heap_matrix == h, axis=1), m).astype(level.dtype)
+    # the edges to the next level, and their sources
+    forward = np.flatnonzero(level[graph.edge_dst] > np.repeat(level, np.diff(graph.edge_offsets)))
+    parent = np.searchsorted(graph.edge_offsets, forward, side="right") - 1
+    child, parent_level = graph.edge_dst[forward], level[parent]
+    position = np.empty(size, dtype=np.int64)  # node id -> breadth-first position
+    position[-1] = 0  # the root is the largest state
+    best = np.full(size, size)  # smallest position among the parents
+    order = [np.array([size - 1])]  # breadth-first position -> node id
+    for lv in range(k):
+        edges = parent_level == lv
+        np.minimum.at(best, child[edges], position[parent[edges]])
+        ids = np.flatnonzero(level == lv + 1)[::-1]
+        ids = ids[np.argsort(best[ids], kind="stable")]
+        position[ids] = np.arange(len(ids)) + sum(map(len, order))
+        order.append(ids)
+    return np.concatenate(order)
 
 
 def _multiset_graph(start: GameState) -> GameGraph:
-    """The non-increasing states bounded by the sorted root, in breadth-first
-    order, with no search.
+    """The non-increasing states bounded by the sorted root and their
+    edges, in rank order, with no search.
 
-    A state's code is its lexicographic rank, the sum over columns t of
-    ``offset[t][state[t]]``: the number of valid states that agree with it
-    before column t and hold less in column t.  A state's edges come from
-    lowering one of its distinct positive heaps, smallest heap first and
-    the remainder descending, which is `children` order; one row sort puts
-    each child back in canonical order.  Level by level, each new state is
-    ranked by the smallest rank among its parents on the level before, then
-    by code descending; the edges then follow their sources' new order."""
+    A state's rank is the sum over columns t of ``offset[t][state[t]]``:
+    the number of valid states that agree with it before column t and hold
+    less in column t.  A state's edges come from lowering one of its
+    distinct positive heaps, smallest heap first and the remainder
+    descending, which is `children` order; one row sort puts each child
+    back in canonical order, and its rank is the edge's target."""
     k = len(start)
     value_type = np.min_scalar_type(max(start, default=0))
     # offset[t][v] = sum of ways[u] for u < v, where ways[u] counts the
@@ -270,7 +286,7 @@ def _multiset_graph(start: GameState) -> GameGraph:
 
     # the valid prefixes of each length in lexicographic order, each with
     # the index of its prefix one shorter; the full ones are the states, in
-    # code order
+    # rank order
     values, prefix = [np.arange(start[0] + 1)] if k else [], []
     for bound in start[1:]:
         counts = np.minimum(values[-1], bound) + 1
@@ -291,7 +307,7 @@ def _multiset_graph(start: GameState) -> GameGraph:
     group_size = np.where(first, ascending, 0).ravel()
     del first
     n_edges = int(group_size.sum(dtype=np.int64))
-    # every code is below the node count, at most one more than the edge
+    # every rank is below the node count, at most one more than the edge
     # count, so the per-edge temporaries fit the type of the latter
     narrow = np.int32 if n_edges < 2**31 else np.int64
     group_size = group_size.astype(narrow)
@@ -309,42 +325,6 @@ def _multiset_graph(start: GameState) -> GameGraph:
         child += offset[t].astype(narrow)[rows[:, k - 1 - t]]
     del rows
 
-    states = ascending[:, ::-1]
-    # a state's level is k minus its multiset intersection with the root
-    level = np.full(size, k, dtype=np.min_scalar_type(k + 1))
-    for h, m in Counter(start).items():
-        level -= np.minimum(np.count_nonzero(states == h, axis=1), m).astype(level.dtype)
-    source = np.repeat(np.arange(size, dtype=narrow), out_degree)
-    forward = level[child] > np.repeat(level, out_degree)  # to the next level
-    parent, child_forward = source[forward], child[forward]
-    del source, forward
-    parent_level = level[parent]
-    rank = np.empty(size, dtype=np.int64)  # code -> node id
-    rank[-1] = 0  # the root is the largest state
-    best = np.full(size, size, dtype=np.int64)  # smallest rank among the parents
-    order = [np.array([size - 1])]  # node id -> code, level by level
-    ranked = 1
-    for lv in range(k):
-        edges = parent_level == lv
-        np.minimum.at(best, child_forward[edges], rank[parent[edges]])
-        codes = np.flatnonzero(level == lv + 1)[::-1]
-        codes = codes[np.argsort(best[codes], kind="stable")]
-        rank[codes] = np.arange(ranked, ranked + len(codes))
-        ranked += len(codes)
-        order.append(codes)
-    del parent, child_forward, parent_level, best, level
-    order = np.concatenate(order)
-
-    heap_matrix = states[order].astype(np.int64)
-    del states, ascending
-    first_edge = np.cumsum(out_degree, dtype=narrow) - out_degree
-    out_degree = out_degree[order]
+    heap_matrix = ascending[:, ::-1].astype(np.int64)
     edge_offsets = np.concatenate(([0], np.cumsum(out_degree, dtype=np.int64)))
-    moved = (first_edge[order] - edge_offsets[:-1]).astype(narrow)
-    del first_edge
-    position = np.arange(n_edges, dtype=narrow)
-    position += np.repeat(moved, out_degree)
-    del moved
-    edge_dst = rank[child[position]]
-    del child, position
-    return GameGraph(start, StateSpaceMode.MULTISET, heap_matrix, edge_offsets, edge_dst)
+    return GameGraph(start, StateSpaceMode.MULTISET, heap_matrix, edge_offsets, child.astype(np.int64))

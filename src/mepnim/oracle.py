@@ -16,7 +16,7 @@ import numpy as np
 
 # `evaluate` is no longer called here, but perfbench/tracer.py wraps
 # `oracle.evaluate` by name, so the name stays importable from this module.
-from .expr import Chromosome, EvalError, evaluate, evaluate_many
+from .expr import Chromosome, EvalError, evaluate, evaluate_broadcast, evaluate_many
 from .fitness import Label
 from .game import GameGraph, GameState, StateSpaceMode
 
@@ -66,7 +66,7 @@ def _edge_walk(graph: GameGraph) -> np.ndarray:
 
 
 def _box_walk(graph: GameGraph) -> np.ndarray:
-    """The level walk over a tuple graph's box codes, with no edges.
+    """The level walk over a tuple graph's box codes (node ids), no edges.
 
     Per heap i, ``below[i, v]`` says whether some state v - t e_i (t >= 1)
     is P: it is ``below[i, v - e_i] or P(v - e_i)``, read one level down,
@@ -100,13 +100,11 @@ def _box_walk(graph: GameGraph) -> np.ndarray:
         seen |= p[lower]
         below[codes + row] = seen
         p[codes] = ~seen.any(axis=0)
-    mask = np.empty(size, dtype=bool)
-    mask[graph.box_id] = p[:size]
-    return mask
+    return p[:size]
 
 
 def retrograde_labels(graph: GameGraph) -> dict[GameState, Label]:
-    """The `retrograde_p_mask` labeling as a state -> Label table."""
+    """The `retrograde_p_mask` labeling as a state -> Label table, in node order."""
     return {
         state: Label.P if is_p else Label.N
         for state, is_p in zip(graph.nodes, retrograde_p_mask(graph).tolist())
@@ -131,13 +129,22 @@ class VerifyResult:
 def verify_formula(chrom: Chromosome, graph: GameGraph) -> VerifyResult:
     """Compare the formula's labeling with retrograde analysis on every node.
 
-    Reports all disagreeing states in node order, not just the first; a
-    formula that raises EvalError anywhere comes back as invalid with no
-    agreement.
+    Reports all disagreeing states in node order, by state code (see
+    `GameGraph`), not just the first; a formula that raises EvalError
+    anywhere comes back as invalid with no agreement.
     """
     try:
-        p = evaluate_many(chrom, graph.heap_matrix, graph.n_heaps) == 0
+        if graph.mode is StateSpaceMode.TUPLE:
+            p = evaluate_broadcast(chrom, graph.box_axes) == 0
+        else:
+            p = evaluate_many(chrom, graph.heap_matrix, graph.n_heaps) == 0
     except EvalError:
         return VerifyResult(agrees=False, disagreements=(), invalid=True)
-    wrong = graph.heap_matrix[p != retrograde_p_mask(graph)].tolist()
-    return VerifyResult(agrees=not wrong, disagreements=tuple(map(tuple, wrong)))
+    if graph.mode is StateSpaceMode.TUPLE:
+        # compared on the box, whose flat indices are the box codes; only
+        # the disagreeing states' heaps are read, off their codes
+        codes = np.flatnonzero(p != retrograde_p_mask(graph).reshape(graph.box_shape)).reshape(-1, 1)
+        wrong = codes // np.array(graph.box_strides, dtype=np.int64) % np.array(graph.box_shape, dtype=np.int64)
+    else:
+        wrong = graph.heap_matrix[p != retrograde_p_mask(graph)]
+    return VerifyResult(agrees=not len(wrong), disagreements=tuple(map(tuple, wrong.tolist())))

@@ -36,15 +36,15 @@ def formula_classifier(chrom: Chromosome, n_heaps: int) -> Classifier:
 def oracle_classifier(graph: GameGraph) -> Classifier:
     """Lookup into the retrograde labeling; only valid inside the graph.
 
-    A tuple graph is looked up by box code, with no table: a state outside
-    the box raises ValueError.  A multiset graph is looked up in a
-    state -> Label table, which raises KeyError outside the graph."""
+    A tuple graph is looked up by box code, its node id, with no table: a
+    state outside the box raises ValueError.  A multiset graph is looked up
+    in a state -> Label table, which raises KeyError outside the graph."""
     if graph.mode is StateSpaceMode.MULTISET:
         return retrograde_labels(graph).__getitem__
-    is_p, box_id, shape = retrograde_p_mask(graph), graph.box_id, graph.box_shape
+    is_p, shape = retrograde_p_mask(graph), graph.box_shape
 
     def classify_state(state: GameState) -> Label:
-        return Label.P if is_p[box_id[np.ravel_multi_index(state, shape)]] else Label.N
+        return Label.P if is_p[np.ravel_multi_index(state, shape)] else Label.N
 
     return classify_state
 

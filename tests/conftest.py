@@ -1,6 +1,8 @@
 """Shared chromosome builders and the reference game search for the test
 suite."""
 
+import numpy as np
+
 from mepnim.expr import Chromosome, Gene
 from mepnim.game import canonicalize, children
 
@@ -40,10 +42,11 @@ def worked_example() -> Chromosome:
 
 
 def reference_bfs(root, mode):
-    """Breadth-first closure of `children` from the root: nodes in discovery
-    order, edges grouped by source in node order and per source in
-    `children` order.  The slow reference for `build_graph`, and the edges
-    of a tuple graph, which stores none."""
+    """Breadth-first closure of `children` from the root: states in
+    discovery order, and edges as discovery positions, grouped by source in
+    that order and per source in `children` order.  The slow reference for
+    `build_graph` and `bfs_order`, and the edges of a tuple graph, which
+    stores none."""
     start = canonicalize(root, mode)
     nodes, index, src, dst = [start], {start: 0}, [], []
     for i, state in enumerate(nodes):  # grows while iterated
@@ -54,3 +57,24 @@ def reference_bfs(root, mode):
             src.append(i)
             dst.append(index[child])
     return nodes, src, dst
+
+
+def reference_graph(root, mode):
+    """`reference_bfs` in the node ids `GameGraph` documents: a state's id
+    is its rank among all the graph's states in lexicographic order, which
+    is the box code in tuple mode.  Returns the states in id order, the ids
+    in breadth-first order, and the edges grouped by source in id order and
+    per source in `children` order."""
+    nodes, src, dst = reference_bfs(root, mode)
+    states = sorted(nodes)
+    node_id = {state: i for i, state in enumerate(states)}
+    ids = [node_id[state] for state in nodes]
+    edges = sorted(((ids[u], ids[v]) for u, v in zip(src, dst)), key=lambda edge: edge[0])  # stable
+    return states, ids, [u for u, _ in edges], [v for _, v in edges]
+
+
+def reference_edges(graph):
+    """The graph's edges from `reference_graph`, as int64 source and target
+    arrays over its node ids."""
+    _, _, src, dst = reference_graph(graph.root, graph.mode)
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)

@@ -364,6 +364,18 @@ class TestBadSettings:
         self.assert_usage_error(code, capsys, "28629151 tuple states", "--max-states 1000000")
         assert list(tmp_path.iterdir()) == [tmp_path / "xor.mep"]
 
+    @pytest.mark.parametrize("opponent", [["--vs", "random"], ["--vs", "oracle"], ["--human"]])
+    def test_play_refuses_a_large_game_against_every_opponent(self, opponent, tmp_path, capsys):
+        # (2000000, 2000000) has about 2e12 multiset states, refused on its
+        # 1 + sum(heaps) alone; playing it would list up to 4e6 children per
+        # move, whoever the opponent
+        formula = tmp_path / "a1.mep"
+        formula.write_text("1: a1\n")
+        t0 = time.perf_counter()
+        code = main(["play", "--heaps", "2000000,2000000", "--formula-file", str(formula), *opponent])
+        assert time.perf_counter() - t0 < 0.5
+        self.assert_usage_error(code, capsys, "at least 4000001 multiset states", "--max-states 1000000")
+
     def test_max_states_is_the_largest_game_allowed(self, tmp_path, capsys):
         # (2,1) tuple has 6 states
         assert main(["oracle", "--heaps", "2,1", "--state-space", "tuple", "--max-states", "6"]) == 0

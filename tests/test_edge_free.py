@@ -1,7 +1,8 @@
 """A tuple game is built, labeled, verified, scored and played against the
-oracle without edge arrays, which a tuple graph does not have, or its node
-tuples."""
+oracle without edge arrays, which a tuple graph does not have, or its heap
+matrix and node tuples."""
 
+import numpy as np
 import pytest
 
 from conftest import chrom, xor_chain
@@ -17,8 +18,9 @@ TUPLE = StateSpaceMode.TUPLE
 @pytest.fixture
 def no_edges_or_nodes(monkeypatch):
     def refuse(*args):
-        pytest.fail("a tuple graph built its node tuples")
+        pytest.fail("a tuple graph built its heap matrix or node tuples")
 
+    monkeypatch.setattr(GameGraph, "heap_matrix", property(refuse))
     monkeypatch.setattr(GameGraph, "nodes", property(refuse))
     graph = build_graph((2, 1), TUPLE)
     assert graph.edge_offsets is None and graph.edge_dst is None
@@ -27,7 +29,7 @@ def no_edges_or_nodes(monkeypatch):
 def test_tuple_pipeline_builds_no_edges(no_edges_or_nodes):
     graph = build_graph((3, 5, 6), TUPLE)
     assert graph.num_nodes == 168 and graph.num_edges == 1176
-    rows = [tuple(row) for row in graph.heap_matrix.tolist()]
+    rows = list(np.ndindex(graph.box_shape))  # in box code order, the node order
     assert retrograde_p_mask(graph).tolist() == [bouton_label(s) is Label.P for s in rows]
     assert verify_formula(xor_chain(3), graph).agrees
     wrong = verify_formula(chrom("a1", "a2", ("-", 1, 2)), graph)  # P iff a1 == a2
@@ -53,6 +55,6 @@ def test_tuple_fitness_reads_only_the_box_axes():
     graph = build_graph((3, 5, 6), TUPLE)
     formulas = [xor_chain(3), chrom("a1", "a2", ("-", 1, 2)), chrom("n"), chrom("a2", "a3", ("div", 1, 2))]
     expected = [graph_fitness(c, graph) for c in formulas]
-    graph.heap_matrix = graph.box_id = None
+    graph.heap_matrix = None
     assert [graph_fitness(c, graph) for c in formulas] == expected
     assert expected[0] == (0, FitnessBreakdown(0, 0, 0)) and expected[3][1] is None

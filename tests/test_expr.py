@@ -146,9 +146,9 @@ class TestEvaluateMany:
 @example([0, 3, 0, 2], [(0, 0.5), (1, 0.9), (2, 0.9)]).via("empty heaps between")
 @example([255, 3], [(0, 0.5), (1, 0.9)]).via("a heap at the uint8 limit")
 def test_box_evaluation_equals_evaluate_many(root, draws):
-    """On a tuple graph's broadcast axes, each value read back through
-    `box_id` equals `evaluate_many` over `heap_matrix`, and EvalError is
-    raised by one exactly when it is raised by the other."""
+    """On a tuple graph's broadcast axes, each value read back by box code
+    equals `evaluate_many` over `heap_matrix`, and EvalError is raised by
+    one exactly when it is raised by the other."""
     graph = build_graph(root, StateSpaceMode.TUPLE)
     n = len(root)
     formulas = [random_chromosome(1 + seed % 15, n, random.Random(seed), prob) for seed, prob in draws]
@@ -164,8 +164,7 @@ def test_box_evaluation_equals_evaluate_many(root, draws):
             continue
         values = evaluate_broadcast(c, graph.box_axes)
         assert values.dtype == np.int64
-        by_node = np.empty(graph.num_nodes, dtype=np.int64)
-        by_node[graph.box_id] = np.broadcast_to(values, graph.box_shape).ravel()
+        by_node = np.broadcast_to(values, graph.box_shape).ravel()  # box codes are node ids
         assert by_node.tolist() == expected.tolist(), (root, c)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chrom, reference_bfs, worked_example, xor3_minus_a4, xor_chain
+from conftest import chrom, reference_edges, worked_example, xor3_minus_a4, xor_chain
 from mepnim.expr import Chromosome, EvalError, Gene, evaluate, evaluate_many
 from mepnim.fitness import INVALID, FitnessBreakdown, Label, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph
@@ -112,13 +112,6 @@ class TestGraphFitness:
         # the equivalence also holds for a known-perfect formula
         assert graph_fitness(xor_chain(4), graph_4444)[0] == 0
         assert verify_formula(xor_chain(4), graph_4444).agrees
-
-
-def reference_edges(graph):
-    """The graph's edges from `reference_bfs`, as int64 source and target
-    arrays over its node ids."""
-    _, src, dst = reference_bfs(graph.root, graph.mode)
-    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
 
 
 def edge_list_fitness(c, graph, edges):

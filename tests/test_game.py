@@ -1,17 +1,18 @@
 import math
 import random
 import tracemalloc
-from itertools import accumulate, combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_bfs
+from conftest import reference_bfs, reference_graph
 from mepnim.expr import Chromosome, Gene, evaluate_many
 from mepnim.game import (
     StateSpaceMode,
+    bfs_order,
     build_graph,
     canonicalize,
     children,
@@ -183,19 +184,23 @@ class TestBuildGraph:
             for mode in (MULTISET, TUPLE):
                 graph = build_graph(random_state(rng, mode), mode)
                 terminals = [s for s in graph.nodes if is_terminal(s)]
-                assert terminals == [graph.nodes[-1]]  # the last node
+                assert terminals == [graph.nodes[0]]  # node 0
 
-    def test_multiset_terminal_is_the_last_node(self):
-        # multiset fitness takes the last node as the terminal
-        for k in range(7):
-            for root in combinations_with_replacement(range(7), k):
-                mask = ~build_graph(root, MULTISET).heap_matrix.any(axis=1)
-                assert np.flatnonzero(mask).tolist() == [len(mask) - 1], root
+    def test_terminal_is_node_zero(self):
+        # fitness and labeling take node 0 as the terminal, and the
+        # root, the largest state, is the last node
+        roots = [(root, MULTISET) for k in range(7) for root in combinations_with_replacement(range(7), k)]
+        roots += [(root, TUPLE) for k in range(5) for root in product(range(4), repeat=k)]
+        for root, mode in roots:
+            graph = build_graph(root, mode)
+            mask = ~graph.heap_matrix.any(axis=1)
+            assert np.flatnonzero(mask).tolist() == [0], (root, mode)
+            assert graph.nodes[-1] == graph.root, (root, mode)
 
     @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
     def test_graph_arrays_are_read_only(self, mode):
         graph = build_graph((3, 2, 1), mode)
-        arrays = (graph.edge_offsets, graph.edge_dst) if mode is MULTISET else (graph.box_id, *graph.box_axes)
+        arrays = (graph.edge_offsets, graph.edge_dst) if mode is MULTISET else graph.box_axes
         for array in (graph.heap_matrix, *arrays):
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -204,7 +209,7 @@ class TestBuildGraph:
         assert np.shares_memory(column, graph.heap_matrix)
         with pytest.raises(ValueError):
             column[0] = 1
-        assert graph.heap_matrix[0].tolist() == list(graph.root)
+        assert graph.heap_matrix[-1].tolist() == list(graph.root)
 
     def test_determinism(self):
         a = build_graph((3, 2, 1), MULTISET)
@@ -216,16 +221,19 @@ class TestBuildGraph:
 
 def assert_equals_reference_bfs(root, mode):
     graph = build_graph(root, mode)
-    nodes, src, dst = reference_bfs(root, mode)
-    assert graph.nodes == tuple(nodes)
+    states, bfs, src, dst = reference_graph(root, mode)
+    assert graph.nodes == tuple(states)
     assert graph.heap_matrix.dtype == np.int64
-    assert graph.heap_matrix.shape == (len(nodes), len(root))
-    assert graph.heap_matrix.tolist() == [list(s) for s in nodes]
+    assert graph.heap_matrix.shape == (len(states), len(root))
+    assert graph.heap_matrix.tolist() == [list(s) for s in states]
+    order = bfs_order(graph)
+    assert order.dtype == np.int64
+    assert order.tolist() == bfs  # the node ids in breadth-first order
     if mode is TUPLE:
         assert graph.edge_offsets is None and graph.edge_dst is None
         return
     assert graph.edge_offsets.dtype == graph.edge_dst.dtype == np.int64
-    assert graph.edge_offsets.tolist() == [0, *accumulate(np.bincount(src, minlength=len(nodes)).tolist())]
+    assert graph.edge_offsets.tolist() == [0, *accumulate(np.bincount(src, minlength=len(states)).tolist())]
     assert graph.edge_dst.tolist() == dst
 
 
@@ -250,9 +258,10 @@ def test_tuple_graph_with_a_heap_of_65535_keeps_breadth_first_order():
     # first level is the root's children in `children` order
     root = (65535, 1)
     graph = build_graph(root, TUPLE)
+    order = bfs_order(graph)
     level_one = [list(s) for s in children(root, TUPLE)]
-    assert graph.heap_matrix[1 : 1 + len(level_one)].tolist() == level_one
-    assert graph.heap_matrix[-1].tolist() == [0, 0]
+    assert graph.heap_matrix[order[: 1 + len(level_one)]].tolist() == [list(root), *level_one]
+    assert graph.heap_matrix[order[-1]].tolist() == [0, 0]
 
 
 @settings(max_examples=150, deadline=None)

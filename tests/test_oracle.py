@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chrom, reference_bfs, worked_example, xor3_minus_a4, xor_chain
+from conftest import chrom, reference_edges, worked_example, xor3_minus_a4, xor_chain
 from mepnim import oracle
+from mepnim.expr import evaluate
 from mepnim.fitness import Label, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph, is_terminal
 from mepnim.genetics import random_chromosome
@@ -68,7 +69,7 @@ def test_rule_satisfying_labeling_is_unique():
     # one satisfies the three rules, and it is the retrograde labeling
     graph = build_graph((2, 1), TUPLE)
     nodes = graph.nodes
-    _, src, dst = reference_bfs(graph.root, TUPLE)
+    src, dst = (ids.tolist() for ids in reference_edges(graph))
 
     def violates(assignment):
         for i, state in enumerate(nodes):
@@ -102,7 +103,7 @@ class TestVerifyFormula:
         # compared against EXPECTED_21 the mismatches are (2,1) and (0,1)
         result = verify_formula(worked_example(), build_graph((2, 1), TUPLE))
         assert not result.agrees
-        assert result.disagreements == ((2, 1), (0, 1))  # node order
+        assert result.disagreements == ((0, 1), (2, 1))  # node order: by box code
 
     def test_two_heap_xor_everywhere(self):
         rng = random.Random(3)
@@ -142,12 +143,47 @@ def test_retrograde_mask_equals_xor_rule(case):
     assert np.array_equal(mask, np.bitwise_xor.reduce(graph.heap_matrix, axis=1) == 0)
 
 
+def wrong_formulas(n):
+    """Formulas over n >= 1 heaps that disagree with Bouton's rule on some
+    states, and the right one."""
+    formulas = [
+        chrom("a1"),  # P iff a1 is 0
+        chrom("n", ("-", 1, 1)),  # P everywhere
+        chrom("a1", ("not", 1)),  # P nowhere
+        chrom("a1", "n", ("mod", 1, 2)),  # P iff n divides a1
+        chrom(f"a{n}", "n", ("-", 1, 2)),  # P iff the last heap holds n
+        xor_chain(n),
+    ]
+    if n > 1:
+        formulas += [xor_chain(n - 1), chrom("a1", "a2", ("-", 1, 2))]
+    return formulas
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_roots())
+@example((TUPLE, (2, 1))).via("the worked example's game")
+@example((MULTISET, (3, 3, 1))).via("equal heaps")
+def test_disagreements_are_the_brute_force_list_in_node_order(case):
+    mode, root = case
+    graph = build_graph(root, mode)
+    n = len(root)
+    for c in wrong_formulas(n) + ([worked_example()] if n > 1 else []):
+        expected = tuple(s for s in graph.nodes if (evaluate(c, s, n) == 0) != (bouton_label(s) is Label.P))
+        result = verify_formula(c, graph)
+        assert not result.invalid
+        assert result.disagreements == expected, (c, mode, root)
+        assert result.agrees == (not expected)
+    # n div a1 divides by zero at the terminal, n div (n - n) everywhere
+    for c in [chrom("n", "a1", ("div", 1, 2)), chrom("n", ("-", 1, 1), ("div", 1, 2))]:
+        result = verify_formula(c, graph)
+        assert result.invalid and not result.agrees and result.disagreements == ()
+
+
 def edge_walk_p_mask(graph):
-    """P-mask by backward induction over the `reference_bfs` edges, in plain
+    """P-mask by backward induction over the `reference_edges`, in plain
     Python: the reference for the box walk of tuple graphs."""
     kids = [[] for _ in range(graph.num_nodes)]
-    _, src, dst = reference_bfs(graph.root, graph.mode)
-    for u, v in zip(src, dst):
+    for u, v in zip(*(ids.tolist() for ids in reference_edges(graph))):
         kids[u].append(v)
     totals = graph.heap_matrix.sum(axis=1).tolist()
     is_p = [False] * graph.num_nodes
