@@ -165,8 +165,10 @@ class GameGraph:
             self.box_shape = tuple(h + 1 for h in root)
             self.box_strides = tuple(math.prod(self.box_shape[i + 1 :]) for i in range(self.n_heaps))
             self.box_axes = tuple(map(_read_only, np.ix_(*(np.arange(dim, dtype=np.int64) for dim in self.box_shape))))
+            self.num_nodes = math.prod(self.box_shape)
         else:
             self.heap_matrix = _read_only(heap_matrix)
+            self.num_nodes = len(heap_matrix)
             self.edge_offsets = _read_only(edge_offsets)
             self.edge_dst = _read_only(edge_dst)
 
@@ -183,12 +185,6 @@ class GameGraph:
         if not self.n_heaps:
             return ((),) * self.num_nodes
         return tuple(zip(*self.heap_matrix.T.tolist()))
-
-    @property
-    def num_nodes(self) -> int:
-        if self.mode is StateSpaceMode.TUPLE:
-            return math.prod(self.box_shape)
-        return len(self.heap_matrix)
 
     @property
     def num_edges(self) -> int:
@@ -249,8 +245,7 @@ def bfs_order(graph: GameGraph) -> np.ndarray:
     forward = np.flatnonzero(level[graph.edge_dst] > np.repeat(level, np.diff(graph.edge_offsets)))
     parent = np.searchsorted(graph.edge_offsets, forward, side="right") - 1
     child, parent_level = graph.edge_dst[forward], level[parent]
-    position = np.empty(size, dtype=np.int64)  # node id -> breadth-first position
-    position[-1] = 0  # the root is the largest state
+    position = np.zeros(size, dtype=np.int64)  # node id -> breadth-first position; the root's is 0
     best = np.full(size, size)  # smallest position among the parents
     order = [np.array([size - 1])]  # breadth-first position -> node id
     for lv in range(k):

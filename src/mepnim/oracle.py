@@ -20,6 +20,12 @@ from .expr import Chromosome, EvalError, evaluate, evaluate_broadcast, evaluate_
 from .fitness import Label
 from .game import GameGraph, GameState, StateSpaceMode
 
+#: Tuple graphs of this many states or more are verified on the box.  There
+#: each full-size int64 temporary of `evaluate_many` reaches glibc's 128 KiB
+#: mmap threshold and may pay fresh page faults, and `evaluate_broadcast`
+#: makes fewer; below it `evaluate_many` over the heap matrix is faster.
+BOX_VERIFY_STATES = 2**14
+
 
 def retrograde_p_mask(graph: GameGraph) -> np.ndarray:
     """Read-only boolean P-mask over node ids by backward induction: the
@@ -133,16 +139,17 @@ def verify_formula(chrom: Chromosome, graph: GameGraph) -> VerifyResult:
     `GameGraph`), not just the first; a formula that raises EvalError
     anywhere comes back as invalid with no agreement.
     """
+    on_box = graph.mode is StateSpaceMode.TUPLE and graph.num_nodes >= BOX_VERIFY_STATES
     try:
-        if graph.mode is StateSpaceMode.TUPLE:
+        if on_box:
             p = evaluate_broadcast(chrom, graph.box_axes) == 0
         else:
             p = evaluate_many(chrom, graph.heap_matrix, graph.n_heaps) == 0
     except EvalError:
         return VerifyResult(agrees=False, disagreements=(), invalid=True)
-    if graph.mode is StateSpaceMode.TUPLE:
-        # compared on the box, whose flat indices are the box codes; only
-        # the disagreeing states' heaps are read, off their codes
+    if on_box:
+        # the box's flat indices are the box codes; only the disagreeing
+        # states' heaps are read, off their codes
         codes = np.flatnonzero(p != retrograde_p_mask(graph).reshape(graph.box_shape)).reshape(-1, 1)
         wrong = codes // np.array(graph.box_strides, dtype=np.int64) % np.array(graph.box_shape, dtype=np.int64)
     else:

@@ -1,6 +1,7 @@
 """A tuple game is built, labeled, verified, scored and played against the
-oracle without edge arrays, which a tuple graph does not have, or its heap
-matrix and node tuples."""
+oracle without edge arrays, which a tuple graph does not have, or its node
+tuples; from `BOX_VERIFY_STATES` states on, also without its heap
+matrix."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import chrom, xor_chain
 from mepnim.cli import main
 from mepnim.fitness import FitnessBreakdown, Label, graph_fitness
 from mepnim.game import GameGraph, StateSpaceMode, build_graph
-from mepnim.oracle import bouton_label, retrograde_p_mask, verify_formula
+from mepnim.oracle import BOX_VERIFY_STATES, bouton_label, retrograde_p_mask, verify_formula
 from mepnim.play import classifier_strategy, formula_classifier, oracle_classifier, play_game
 
 TUPLE = StateSpaceMode.TUPLE
@@ -27,18 +28,20 @@ def no_edges_or_nodes(monkeypatch):
 
 
 def test_tuple_pipeline_builds_no_edges(no_edges_or_nodes):
-    graph = build_graph((3, 5, 6), TUPLE)
-    assert graph.num_nodes == 168 and graph.num_edges == 1176
+    root = (7, 15, 0, 7, 15)  # the smallest box verified on the box, with an empty heap
+    graph = build_graph(root, TUPLE)
+    assert graph.num_nodes == BOX_VERIFY_STATES == 16384 and graph.num_edges == 360448
     rows = list(np.ndindex(graph.box_shape))  # in box code order, the node order
     assert retrograde_p_mask(graph).tolist() == [bouton_label(s) is Label.P for s in rows]
-    assert verify_formula(xor_chain(3), graph).agrees
+    assert verify_formula(xor_chain(5), graph).agrees
     wrong = verify_formula(chrom("a1", "a2", ("-", 1, 2)), graph)  # P iff a1 == a2
     assert wrong.disagreements == tuple(s for s in rows if (s[0] == s[1]) != (bouton_label(s) is Label.P))
-    assert graph_fitness(xor_chain(3), graph) == (0, FitnessBreakdown(0, 0, 0))
+    assert verify_formula(chrom("a1", "a3", ("div", 1, 2)), graph).invalid
+    assert graph_fitness(xor_chain(5), graph) == (0, FitnessBreakdown(0, 0, 0))
     assert graph_fitness(chrom("a1", "a2", ("-", 1, 2)), graph)[0] > 0
     oracle = classifier_strategy(oracle_classifier(graph), TUPLE)
-    formula = classifier_strategy(formula_classifier(xor_chain(3), 3), TUPLE)
-    assert play_game(oracle, formula, (3, 5, 6), TUPLE).winner == 2  # the root is P
+    formula = classifier_strategy(formula_classifier(xor_chain(5), 5), TUPLE)
+    assert play_game(oracle, formula, root, TUPLE).winner == 2  # the root is P
 
 
 def test_play_against_the_oracle_builds_no_edges(no_edges_or_nodes, tmp_path, capsys):

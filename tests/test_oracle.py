@@ -112,6 +112,15 @@ class TestVerifyFormula:
             for mode in (MULTISET, TUPLE):
                 assert verify_formula(xor_chain(2), build_graph(root, mode)).agrees
 
+    @pytest.mark.parametrize("box_states", [oracle.BOX_VERIFY_STATES, 0])
+    def test_no_heaps(self, box_states):
+        # the one state, (), is P: n is 0 there and not n is -1
+        with patch.object(oracle, "BOX_VERIFY_STATES", box_states):
+            for mode in (MULTISET, TUPLE):
+                graph = build_graph((), mode)
+                assert verify_formula(chrom("n"), graph).agrees
+                assert verify_formula(chrom("n", ("not", 1)), graph).disagreements == ((),)
+
     def test_invalid_formula_reported(self):
         result = verify_formula(chrom("a1", "a2", ("div", 1, 2)), build_graph((2, 1), TUPLE))
         assert result.invalid
@@ -162,21 +171,26 @@ def wrong_formulas(n):
 @settings(max_examples=60, deadline=None)
 @given(small_roots())
 @example((TUPLE, (2, 1))).via("the worked example's game")
+@example((TUPLE, (0, 0))).via("the terminal alone")
 @example((MULTISET, (3, 3, 1))).via("equal heaps")
 def test_disagreements_are_the_brute_force_list_in_node_order(case):
     mode, root = case
-    graph = build_graph(root, mode)
     n = len(root)
-    for c in wrong_formulas(n) + ([worked_example()] if n > 1 else []):
-        expected = tuple(s for s in graph.nodes if (evaluate(c, s, n) == 0) != (bouton_label(s) is Label.P))
-        result = verify_formula(c, graph)
-        assert not result.invalid
-        assert result.disagreements == expected, (c, mode, root)
-        assert result.agrees == (not expected)
-    # n div a1 divides by zero at the terminal, n div (n - n) everywhere
-    for c in [chrom("n", "a1", ("div", 1, 2)), chrom("n", ("-", 1, 1), ("div", 1, 2))]:
-        result = verify_formula(c, graph)
-        assert result.invalid and not result.agrees and result.disagreements == ()
+    # a small tuple graph is verified over its heap matrix unless the
+    # box threshold is lowered
+    for box_states in [oracle.BOX_VERIFY_STATES, 0]:
+        graph = build_graph(root, mode)
+        with patch.object(oracle, "BOX_VERIFY_STATES", box_states):
+            for c in wrong_formulas(n) + ([worked_example()] if n > 1 else []):
+                expected = tuple(s for s in graph.nodes if (evaluate(c, s, n) == 0) != (bouton_label(s) is Label.P))
+                result = verify_formula(c, graph)
+                assert not result.invalid
+                assert result.disagreements == expected, (c, mode, root, box_states)
+                assert result.agrees == (not expected)
+            # n div a1 divides by zero at the terminal, n div (n - n) everywhere
+            for c in [chrom("n", "a1", ("div", 1, 2)), chrom("n", ("-", 1, 1), ("div", 1, 2))]:
+                result = verify_formula(c, graph)
+                assert result.invalid and not result.agrees and result.disagreements == ()
 
 
 def edge_walk_p_mask(graph):
