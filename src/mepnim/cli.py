@@ -252,10 +252,18 @@ def _state_text(state) -> str:
     return f"({', '.join(str(h) for h in state)})"
 
 
+#: Node ids the oracle listing turns into states at a time
+_TABLE_CHUNK = 4096
+
+
 def _oracle_table(graph):
-    """Each state and its oracle P flag, in the breadth-first order printed."""
-    nodes, is_p = graph.nodes, retrograde_p_mask(graph).tolist()
-    return ((nodes[k], is_p[k]) for k in bfs_order(graph))
+    """Each state and its oracle P flag, in the breadth-first order
+    printed, decoded a chunk of node ids at a time, so no per-state object
+    outlives its chunk."""
+    is_p, order = retrograde_p_mask(graph), bfs_order(graph)
+    for start in range(0, len(order), _TABLE_CHUNK):
+        ids = order[start : start + _TABLE_CHUNK]
+        yield from zip(map(tuple, graph.heap_rows(ids).tolist()), is_p[ids].tolist())
 
 
 def _cmd_evolve(args) -> int:

@@ -345,10 +345,11 @@ def evaluate_broadcast(chrom: Chromosome, axes: tuple[np.ndarray, ...]) -> np.nd
     the grid.
 
     Each value is computed on the broadcast shape of only the axes it
-    reads, so the result may be smaller than the grid and broadcasts to
-    it.  Every element of an operand is the value of some grid point, so
-    EvalError is raised exactly when `evaluate_many` over the grid's rows
-    would raise it.
+    reads, so the result has the length of ``axes[i]`` along every axis i
+    whose heap the active program reads and 1 along every other axis, and
+    broadcasts to the grid.  Every element of an operand is the value of
+    some grid point, so EvalError is raised exactly when `evaluate_many`
+    over the grid's rows would raise it.
     """
     n = len(axes)
     program = chrom.program

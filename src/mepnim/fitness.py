@@ -50,9 +50,8 @@ def graph_fitness(chrom: Chromosome, graph: GameGraph) -> tuple[int | float, Fit
     """
     try:
         if graph.mode is StateSpaceMode.TUPLE:
-            p = np.empty(graph.box_shape, dtype=bool)
-            np.equal(evaluate_broadcast(chrom, graph.box_axes), 0, out=p)
-            rule_i, rule_ii, rule_iii = _box_violations(p)
+            p = evaluate_broadcast(chrom, graph.box_axes) == 0
+            rule_i, rule_ii, rule_iii = _box_violations(p, graph.box_shape)
         else:
             p = evaluate_many(chrom, graph.heap_matrix, graph.n_heaps) == 0
             rule_i, rule_ii, rule_iii = _edge_violations(p, graph)
@@ -84,16 +83,28 @@ def _edge_violations(p: np.ndarray, graph: GameGraph) -> tuple[int, int, int]:
     return rule_i, rule_ii, rule_iii
 
 
-def _box_violations(p: np.ndarray) -> tuple[int, int, int]:
-    """The three rule counts of a tuple graph, from its P-mask `p` over the
-    box, with no edges.
+def _box_violations(p: np.ndarray, box_shape: tuple[int, ...]) -> tuple[int, int, int]:
+    """The three rule counts of a tuple graph, from its P-mask `p` on the
+    sub-box of the heaps the formula reads, with no edges.
 
-    Along heap i, the inclusive prefix sum of p counts the P states among
-    v - t e_i for t = 0..v_i, so its sum over the heaps, s[v], is the
-    number of P children of v plus n p[v].  Then rule i is the sum of s over
-    the P states minus n |P|; with n >= 1, s[v] is 0 exactly when v is N
-    and has no P child, which is rule ii, or rule iii when v is the terminal
-    (box code 0).
+    `p` has the shape `evaluate_broadcast` gives, h_i + 1 along a heap the
+    formula reads and 1 along every other, and broadcasts to the box of
+    shape `box_shape`.  Along heap i, the inclusive prefix sum of the
+    box's P-mask counts the P states among v - t e_i for t = 0..v_i, so its
+    sum over the heaps, s[v], is the number of P children of v plus n p[v].
+    Then rule i is the sum of s over the P states minus n |P|; with n >= 1,
+    s[v] is 0 exactly when v is N and has no P child, which is rule ii, or
+    rule iii when v is the terminal (box code 0).
+
+    Along an axis where `p` has length 1 the mask is constant, so that
+    prefix sum is (v_i + 1) p, and s = s' + p * (the sum of v_i over those
+    axes), where s' is the sum taken on `p` itself, each such axis adding p
+    once.  Over the box, each element of `p` stands for M states, M the
+    product of h_i + 1 over those axes, and v_i averages h_i / 2 over them.
+    With Q the P count of `p`, rule i is M (sum of s' p - n Q) + Q M (sum of
+    h_i / 2 over those axes), and s has M zeros per zero of s'.  An empty
+    heap (h_i = 0) adds only p once; a formula that reads no heap has every
+    axis of length 1, one that reads every heap none.
 
     The prefix sums add whole slabs, one vectorised call per step along
     the axis: ``np.add.accumulate`` would instead pay a fixed cost per
@@ -102,19 +113,22 @@ def _box_violations(p: np.ndarray) -> tuple[int, int, int]:
     rule_iii = int(not p.flat[0])
     if not n:  # the terminal alone
         return 0, 0, rule_iii
-    count_type = np.min_scalar_type(sum(shape))  # s[v] <= sum(v) + n
+    flat = [dim - 1 for dim, length in zip(box_shape, shape) if length == 1]  # h_i along p's length-1 axes
+    many = math.prod(h + 1 for h in flat)  # an int, exact at any box size
+    count_type = np.min_scalar_type(sum(shape))  # s'[v] <= sum(v) + n on p
     p01 = p.view(np.uint8)
-    s = np.empty(shape, dtype=count_type)
+    s = np.multiply(p01, len(flat), dtype=count_type)
     part = np.empty_like(s)
     for axis, dim in enumerate(shape):
-        out = part if axis else s
-        out[...] = p01
-        steps = out.reshape(-1, dim, math.prod(shape[axis + 1 :])).swapaxes(0, 1)
+        if dim == 1:
+            continue
+        part[...] = p01
+        steps = part.reshape(-1, dim, math.prod(shape[axis + 1 :])).swapaxes(0, 1)
         for below, slab in zip(steps, steps[1:]):
             slab += below
-        if axis:
-            s += part
-    rule_ii = s.size - int(np.count_nonzero(s)) - rule_iii
+        s += part
+    rule_ii = many * (s.size - int(np.count_nonzero(s))) - rule_iii
+    q = int(np.count_nonzero(p))
     s *= p01
-    rule_i = int(s.sum()) - n * int(np.count_nonzero(p))
+    rule_i = many * (int(s.sum()) - n * q) + q * sum(many * h // 2 for h in flat)
     return rule_i, rule_ii, rule_iii

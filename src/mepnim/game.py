@@ -186,6 +186,15 @@ class GameGraph:
             return ((),) * self.num_nodes
         return tuple(zip(*self.heap_matrix.T.tolist()))
 
+    def heap_rows(self, ids: np.ndarray) -> np.ndarray:
+        """The ``heap_matrix`` rows of the node ids `ids`, as a new int64
+        array; a tuple graph decodes them from the box codes and does not
+        build its heap matrix."""
+        if self.mode is StateSpaceMode.TUPLE:
+            codes = np.asarray(ids, dtype=np.int64).reshape(-1, 1)
+            return codes // np.array(self.box_strides, dtype=np.int64) % np.array(self.box_shape, dtype=np.int64)
+        return self.heap_matrix[ids]
+
     @property
     def num_edges(self) -> int:
         if self.mode is StateSpaceMode.TUPLE:

@@ -150,8 +150,7 @@ def verify_formula(chrom: Chromosome, graph: GameGraph) -> VerifyResult:
     if on_box:
         # the box's flat indices are the box codes; only the disagreeing
         # states' heaps are read, off their codes
-        codes = np.flatnonzero(p != retrograde_p_mask(graph).reshape(graph.box_shape)).reshape(-1, 1)
-        wrong = codes // np.array(graph.box_strides, dtype=np.int64) % np.array(graph.box_shape, dtype=np.int64)
+        wrong = graph.heap_rows(np.flatnonzero(p != retrograde_p_mask(graph).reshape(graph.box_shape)))
     else:
         wrong = graph.heap_matrix[p != retrograde_p_mask(graph)]
     return VerifyResult(agrees=not len(wrong), disagreements=tuple(map(tuple, wrong.tolist())))

@@ -15,7 +15,8 @@ from conftest import worked_example, xor_chain
 from mepnim.cli import COMMANDS, SETTINGS, main
 from mepnim.expr import format_chromosome, parse_chromosome
 from mepnim.fitness import graph_fitness
-from mepnim.game import StateSpaceMode, build_graph
+from mepnim.game import StateSpaceMode, bfs_order, build_graph
+from mepnim.oracle import retrograde_p_mask
 
 
 @pytest.fixture
@@ -84,6 +85,16 @@ class TestOracle:
         # the rows come in breadth-first discovery order from the root
         assert main(["oracle", "--heaps", "3,2,2", "--state-space", "tuple"]) == 0
         assert capsys.readouterr().out == TABLE_322_TUPLE
+
+    @pytest.mark.parametrize("heaps,mode", [((5, 5, 5, 5, 5), "tuple"), ((9, 9, 9, 9, 9, 9), "multiset")])
+    def test_table_of_several_chunks_lists_each_state_in_bfs_order(self, heaps, mode, capsys):
+        graph = build_graph(heaps, StateSpaceMode(mode))
+        is_p = retrograde_p_mask(graph)
+        expected = "".join(
+            f"({', '.join(map(str, graph.nodes[k]))}): {'P' if is_p[k] else 'N'}\n" for k in bfs_order(graph)
+        )
+        assert main(["oracle", "--heaps", ",".join(map(str, heaps)), "--state-space", mode]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_multiset_table_merges_permutations(self, capsys):
         assert main(["oracle", "--heaps", "2,1"]) == 0

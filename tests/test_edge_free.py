@@ -3,6 +3,8 @@ oracle without edge arrays, which a tuple graph does not have, or its node
 tuples; from `BOX_VERIFY_STATES` states on, also without its heap
 matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,14 @@ def test_play_against_the_oracle_builds_no_edges(no_edges_or_nodes, tmp_path, ca
     assert out.endswith("formula (moving first) won 1/1 games vs oracle\n")
 
 
+def test_oracle_listing_builds_no_edges(no_edges_or_nodes, capsys):
+    # more states than the listing decodes at a time
+    assert main(["oracle", "--heaps", "7,15,0,7,15", "--state-space", "tuple"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16384
+    assert lines[0] == "(7, 15, 0, 7, 15): P" and lines[-1] == "(0, 0, 0, 0, 0): P"
+
+
 def test_tuple_fitness_reads_only_the_box_axes():
     graph = build_graph((3, 5, 6), TUPLE)
     formulas = [xor_chain(3), chrom("a1", "a2", ("-", 1, 2)), chrom("n"), chrom("a2", "a3", ("div", 1, 2))]
@@ -61,3 +71,31 @@ def test_tuple_fitness_reads_only_the_box_axes():
     graph.heap_matrix = None
     assert [graph_fitness(c, graph) for c in formulas] == expected
     assert expected[0] == (0, FitnessBreakdown(0, 0, 0)) and expected[3][1] is None
+
+
+def test_huge_tuple_box_is_scored_on_the_heaps_read():
+    # 16.8M states: a box-sized mask would take 16 MB, its counts more
+    k, h = 4, 63
+    graph = build_graph((h,) * k, TUPLE)
+    size = graph.num_nodes
+    assert size == (h + 1) ** k == 16777216
+
+    def traced_fitness(formula):
+        tracemalloc.start()
+        try:
+            scored = graph_fitness(formula, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        return scored
+
+    # a1 == 0 is P: each of the other k - 1 heaps moves between two P
+    # states (h + 1)^(k - 2) h (h + 1) / 2 times, and every N state has
+    # its P child a1 = 0
+    rule_i = (k - 1) * (h + 1) ** (k - 2) * h * (h + 1) // 2
+    assert rule_i == 24772608
+    assert traced_fitness(chrom("a1")) == (rule_i, FitnessBreakdown(rule_i, 0, 0))
+    assert traced_fitness(chrom("n")) == (size, FitnessBreakdown(0, size - 1, 1))  # all N
+    edges = graph.num_edges
+    assert traced_fitness(chrom("n", ("-", 1, 1))) == (edges, FitnessBreakdown(edges, 0, 0))  # all P

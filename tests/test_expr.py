@@ -17,6 +17,7 @@ from mepnim.expr import (
     evaluate_broadcast,
     evaluate_many,
     format_chromosome,
+    heap_ref,
     max_heap_ref,
     parse_chromosome,
 )
@@ -166,6 +167,31 @@ def test_box_evaluation_equals_evaluate_many(root, draws):
         assert values.dtype == np.int64
         by_node = np.broadcast_to(values, graph.box_shape).ravel()  # box codes are node ids
         assert by_node.tolist() == expected.tolist(), (root, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=0, max_size=6),
+    st.lists(st.tuples(st.integers(0, 2**32), st.sampled_from([0.3, 0.5, 0.9])), min_size=1, max_size=8),
+)
+@example([], [(0, 0.5), (1, 0.9)]).via("no heaps")
+@example([0, 3, 0, 2], [(0, 0.5), (1, 0.9), (2, 0.9)]).via("empty heaps between")
+def test_box_evaluation_is_the_sub_box_of_the_heaps_read(root, draws):
+    """The value has length h_i + 1 along every heap the active program
+    reads and 1 along every other, which the tuple fitness scores on."""
+    graph = build_graph(root, StateSpaceMode.TUPLE)
+    n = len(root)
+    formulas = [random_chromosome(1 + seed % 15, n, random.Random(seed), prob) for seed, prob in draws]
+    formulas += [chrom("n")]
+    if n:
+        formulas += [chrom(f"a{n}"), chrom("a1", ("-", 1, 1)), chrom("a1", f"a{n}", ("xor", 1, 2))]
+    for c in formulas:
+        read = {heap_ref(c.genes[pos].symbol) for pos in active_positions(c)} - {None}
+        try:
+            values = evaluate_broadcast(c, graph.box_axes)
+        except EvalError:
+            continue
+        assert values.shape == tuple(h + 1 if i in read else 1 for i, h in enumerate(root)), (root, c)
 
 
 class TestInfix:

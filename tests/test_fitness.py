@@ -148,14 +148,19 @@ def int64_min_over_minus_one(op: str = "div") -> Chromosome:
 def special_formulas(n: int) -> list[Chromosome]:
     """Formulas that reach the edge cases of both fitness paths: constant,
     n alone and negated, dividing by zero everywhere and at some states
-    only, a divisor of -1 at INT64_MIN, the xor rule and always-P."""
+    only, a divisor of -1 at INT64_MIN, the xor rule, and formulas that
+    read only some heaps: the last one, the first and the last, and one
+    heap while being constant (always-P `a1 - a1` and always-N)."""
     formulas = [chrom("n"), chrom("n", ("not", 1)), chrom("n", ("-", 1, 1), ("div", 1, 2))]
     if n:
         formulas += [
             xor_chain(n),
             chrom("a1", ("-", 1, 1)),
+            chrom("a1", ("-", 1, 1), ("not", 2)),
             chrom("a1", "n", ("mod", 2, 1)),  # divides by zero where a1 is 0
             int64_min_over_minus_one(),
+            chrom(f"a{n}", "n", ("-", 1, 2)),  # P where the last heap holds n
+            chrom("a1", f"a{n}", ("xor", 1, 2)),  # P where the first and last heaps are equal
         ]
     return formulas
 
@@ -165,6 +170,8 @@ def special_formulas(n: int) -> list[Chromosome]:
 @example([], [0, 1, 2, 3]).via("no heaps")
 @example([0], [0, 1, 2, 3]).via("one empty heap")
 @example([0, 3, 0, 2], [0, 1, 2, 3]).via("empty heaps between")
+@example([3, 0, 2, 0], [0, 1, 2, 3]).via("the last heap, read by some formulas, empty")
+@example([0, 4, 0, 0, 3], [0, 1, 2, 3]).via("the first heap empty, the last read, empty ones between")
 @example([255, 3], [0, 1, 2, 3]).via("a heap at the uint8 limit")
 def test_box_fitness_equals_edge_list_fitness(root, seeds):
     graph = build_graph(root, TUPLE)

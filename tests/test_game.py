@@ -211,6 +211,15 @@ class TestBuildGraph:
             column[0] = 1
         assert graph.heap_matrix[-1].tolist() == list(graph.root)
 
+    @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
+    @pytest.mark.parametrize("root", [(3, 2, 1), (0, 4, 0, 2), (5,), ()])
+    def test_heap_rows_are_heap_matrix_rows(self, mode, root):
+        graph = build_graph(root, mode)
+        ids = np.arange(graph.num_nodes)[::-1]
+        rows = graph.heap_rows(ids)  # a tuple graph's from its box codes, before heap_matrix exists
+        assert rows.dtype == np.int64 and rows.shape == (graph.num_nodes, len(root))
+        assert rows.tolist() == graph.heap_matrix[ids].tolist()
+
     def test_determinism(self):
         a = build_graph((3, 2, 1), MULTISET)
         b = build_graph((3, 2, 1), MULTISET)

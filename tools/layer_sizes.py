@@ -33,9 +33,12 @@ BATCH_SIZE, BATCH_GENES, BATCH_SEED = 120, 15, 9
 # states -> (heaps, state space)
 GAMES = {
     70: ((4, 4, 4, 4), "multiset"),
+    168: ((3, 5, 6), "tuple"),
     625: ((4, 4, 4, 4), "tuple"),
+    1001: ((1000,), "tuple"),
     5005: ((9, 9, 9, 9, 9, 9), "multiset"),
     32768: ((7, 7, 7, 7, 7), "tuple"),
+    40401: ((200, 200), "tuple"),
     230230: ((20, 20, 20, 20, 20, 20), "multiset"),
     1000000: ((9, 9, 9, 9, 9, 9), "tuple"),
 }
