@@ -122,8 +122,12 @@ def state_count(root, mode: StateSpaceMode) -> int:
 class GameGraph:
     """Deduplicated DAG of every state reachable from a root.
 
-    Built once by `build_graph`, then immutable; safe to share across
-    threads.  A node's id is its state's code, the state's rank among the
+    Built once by `build_graph`, and its states and edges never change
+    after; safe to share across threads.  The graph also keeps data derived
+    from them on first use: `oracle.retrograde_p_mask` keeps its labeling,
+    and `fitness.graph_fitness` keeps, within a byte budget, the quotients
+    of a multiset graph by the heaps that formulas read.  Filling either
+    from several threads at once stays safe.  A node's id is its state's code, the state's rank among the
     graph's states in lexicographic order: the box code in tuple mode, the
     rank `build_graph` computes in multiset mode.  So node 0 is the
     terminal (the empty state) and node ``num_nodes - 1`` is the root.  Row

@@ -1,4 +1,8 @@
+import itertools
 import random
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chrom, reference_edges, worked_example, xor3_minus_a4, xor_chain
-from mepnim.expr import Chromosome, EvalError, Gene, evaluate, evaluate_many
+from mepnim import fitness
+from mepnim.expr import _HEAP, Chromosome, EvalError, Gene, evaluate, evaluate_many
 from mepnim.fitness import INVALID, FitnessBreakdown, Label, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph
 from mepnim.genetics import random_chromosome
@@ -201,16 +206,170 @@ def test_int64_min_over_minus_one_equals_scalar_evaluate_without_warnings(op):
     assert values.tolist() == [evaluate(formula, state) for state in graph.heap_matrix.tolist()]
 
 
+def with_budget(graph, left: int):
+    """`graph` with its quotients' byte budget set to `left`: 0 for one
+    whose budget is spent, far more than the graph for one where every
+    read set but that of all the heaps gets a quotient on its second use."""
+    cache = graph._quotients = fitness._Quotients(graph)
+    cache.left, cache.closed = left, False
+    return graph
+
+
+def reads_of(c: Chromosome) -> int:
+    return sum(1 << x for op, x, _ in set(c.program.code) if op == _HEAP)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=0, max_size=5), st.lists(st.integers(0, 2**32), min_size=1, max_size=6))
 @example([], [0, 1, 2, 3]).via("no heaps")
 @example([0, 0], [0, 1, 2, 3]).via("empty heaps only")
 @example([5], [0, 1, 2, 3]).via("one heap")
 @example([3, 0], [0, 1, 2, 3]).via("an empty heap")
+@example([0, 4, 0, 2], [0, 1, 2, 3]).via("empty heaps among others")
+@example([1], [0, 1, 2, 3]).via("a single heap of one")
+@example([3, 3, 2], [0, 1, 2, 3]).via("class 0 holds non-terminal nodes when the last heap alone is read")
 def test_multiset_fitness_equals_edge_list_fitness(root, seeds):
+    # every formula is scored on its first use (per edge), on its second
+    # (on the quotient, where it fits), on a graph with room for every
+    # quotient, and on one whose budget is spent
     graph = build_graph(root, MULTISET)
+    roomy = with_budget(build_graph(root, MULTISET), 2**40)
+    spent = with_budget(build_graph(root, MULTISET), 0)
     n = len(root)
     formulas = [random_chromosome(1 + seed % 15, n, random.Random(seed)) for seed in seeds]
     edges = reference_edges(graph)
+    everything = (1 << n) - 1
     for c in formulas + special_formulas(n):
-        assert graph_fitness(c, graph) == edge_list_fitness(c, graph, edges), (root, c)
+        expected = edge_list_fitness(c, graph, edges)
+        for g in (graph, graph, roomy, roomy, spent):
+            assert graph_fitness(c, g) == expected, (root, c, g is graph, g is roomy)
+        if graph.num_edges and reads_of(c) != everything:
+            assert roomy._quotients.kept[reads_of(c)] is not None, (root, c)
+    assert not spent._quotients.kept
+
+
+def xor_of_heaps(heaps) -> Chromosome:
+    """The xor of the 1-based heaps `heaps`, a formula that reads exactly them."""
+    specs: list = [f"a{heaps[0]}"]
+    for h in heaps[1:]:
+        specs += [f"a{h}", ("xor", len(specs), len(specs) + 1)]
+    return chrom(*specs)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_quotient_built_in_small_chunks_scores_the_same(chunk, monkeypatch):
+    monkeypatch.setattr(fitness, "QUOTIENT_CHUNK_EDGES", chunk)
+    root = (6, 5, 4, 3, 2)
+    graph = with_budget(build_graph(root, MULTISET), 2**40)
+    edges = reference_edges(graph)
+    for heaps in [(1,), (5,), (2, 4), (1, 3, 5), (1, 2, 3, 4)]:
+        c = xor_of_heaps(heaps)
+        expected = edge_list_fitness(c, graph, edges)
+        assert graph_fitness(c, graph) == graph_fitness(c, graph) == expected, heaps
+        assert graph._quotients.kept[reads_of(c)] is not None
+
+
+@pytest.mark.parametrize("root,reads", [((1,) * 64, range(63)), ((3,) * 40, range(1, 40)), ((4, 3, 3, 0), [1, 3])])
+def test_classes_are_the_distinct_rows_of_the_heaps_read(root, reads):
+    # (1,)*64 and (3,)*40 carry their mixed-radix code past int64
+    graph = build_graph(root, MULTISET)
+    first, classes = fitness._classes(graph, list(reads))
+    rows = graph.heap_matrix[:, list(reads)]
+    _, expected = np.unique(rows, axis=0, return_inverse=True)
+    assert len(first) == expected.max() + 1
+    assert classes[0] == 0  # the terminal's
+    assert (rows[first][classes] == rows).all()  # each node's class holds its row
+    assert (np.unique(np.stack([classes, expected.ravel()]), axis=1).shape[1]) == len(first)  # one class per row
+
+
+def test_formula_reading_all_but_one_of_64_heaps_on_its_quotient():
+    graph = with_budget(build_graph((1,) * 64, MULTISET), 2**40)
+    c = xor_of_heaps(range(1, 64))
+    expected = edge_list_fitness(c, graph, reference_edges(graph))
+    assert graph_fitness(c, graph) == graph_fitness(c, graph) == expected
+    assert graph._quotients.kept[reads_of(c)] is not None
+
+
+def test_kept_quotients_stay_within_the_edge_bytes():
+    graph = build_graph((6, 5, 4, 3, 2), MULTISET)
+    subsets = [heaps for r in range(1, 6) for heaps in itertools.combinations(range(1, 6), r)]
+    for heaps in subsets + [()]:
+        c = xor_of_heaps(heaps) if heaps else chrom("n")
+        graph_fitness(c, graph)
+        graph_fitness(c, graph)
+    cache = graph._quotients
+    kept = [q for q in cache.kept.values() if q is not None]
+    assert kept and len(kept) < len(subsets)  # the budget runs out before the read sets do
+    assert sum(q.nbytes for q in kept) == graph.edge_dst.nbytes - cache.left <= graph.edge_dst.nbytes
+
+
+@pytest.fixture(scope="module")
+def graph_9x6():
+    return build_graph((9,) * 6, MULTISET)
+
+
+@pytest.mark.parametrize("heaps", [(1,), (2, 4), (1, 3, 5)])
+def test_quotient_build_peaks_under_1_mb(heaps):
+    # a fresh graph each time, so that the whole budget is left
+    graph = build_graph((9,) * 6, MULTISET)
+    c = xor_of_heaps(heaps)
+    graph_fitness(c, graph)
+    tracemalloc.start()
+    try:
+        graph_fitness(c, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph._quotients.kept[reads_of(c)] is not None
+    assert peak < 2**20
+
+
+def test_single_call_on_a_fresh_graph_builds_nothing(graph_9x6, monkeypatch):
+    builds = []
+    build = fitness._build_quotient
+    monkeypatch.setattr(fitness, "_build_quotient", lambda *args: builds.append(args) or build(*args))
+    c = xor_of_heaps((2, 3))
+    fresh = build_graph((9,) * 6, MULTISET)
+    graph_fitness(c, fresh)
+    assert not builds and not fresh._quotients.kept
+    graph_fitness(c, fresh)
+    assert len(builds) == 1
+
+
+def test_threads_sharing_a_graph_keep_its_quotients_consistent():
+    # more threads than cores, switching often, released together onto the
+    # same read sets of one graph: a build done twice, or a lost update to
+    # the budget, breaks the byte count, and a half-kept quotient a score
+    root = (6, 5, 4, 3, 2)
+    reference = build_graph(root, MULTISET)
+    edges = reference_edges(reference)
+    formulas = [xor_of_heaps(heaps) for r in (1, 2) for heaps in itertools.combinations(range(1, 6), r)]
+    expected = [edge_list_fitness(c, reference, edges) for c in formulas]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            graph = build_graph(root, MULTISET)
+            start = threading.Barrier(6)
+            results, errors = [], []
+
+            def score():
+                try:
+                    start.wait(timeout=60)
+                    for _ in range(2):
+                        results.append([graph_fitness(c, graph) for c in formulas])
+                except Exception as error:
+                    errors.append(error)
+
+            threads = [threading.Thread(target=score) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads) and not errors
+            assert results == [expected] * 12
+            cache = graph._quotients
+            kept = [q for q in cache.kept.values() if q is not None]
+            assert kept and sum(q.nbytes for q in kept) == graph.edge_dst.nbytes - cache.left
+    finally:
+        sys.setswitchinterval(interval)
