@@ -207,7 +207,7 @@ def _quotient(program: Program, graph: GameGraph) -> _Quotient | None:
     graph whose budget holds none at all the read set is not even
     computed."""
     cache = graph.__dict__.get("_quotients") or graph.__dict__.setdefault("_quotients", _Quotients(graph))
-    if cache.closed:
+    if cache.closed or program.max_heap_ref >= graph.n_heaps:  # the latter fails its evaluation
         return None
     reads = 0
     for op, x, _ in program.code:

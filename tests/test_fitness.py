@@ -324,6 +324,13 @@ def test_quotient_build_peaks_under_1_mb(heaps):
     assert peak < 2**20
 
 
+def test_formula_reading_a_heap_the_game_lacks_is_refused_on_every_use(graph_4444):
+    c = chrom("a5", "a1", ("+", 1, 2))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="references heap a5"):
+            graph_fitness(c, graph_4444)
+
+
 def test_single_call_on_a_fresh_graph_builds_nothing(graph_9x6, monkeypatch):
     builds = []
     build = fitness._build_quotient
