@@ -331,6 +331,14 @@ def test_formula_reading_a_heap_the_game_lacks_is_refused_on_every_use(graph_444
             graph_fitness(c, graph_4444)
 
 
+def test_small_graph_keeps_no_quotients(graph_4444):
+    # 350 edges, below QUOTIENT_MIN_EDGES: every formula is scored per edge
+    assert graph_4444.num_edges < fitness.QUOTIENT_MIN_EDGES
+    for _ in range(2):
+        graph_fitness(chrom("a1", "n", ("-", 1, 2)), graph_4444)
+    assert graph_4444._quotients.closed and not graph_4444._quotients.kept
+
+
 def test_single_call_on_a_fresh_graph_builds_nothing(graph_9x6, monkeypatch):
     builds = []
     build = fitness._build_quotient
