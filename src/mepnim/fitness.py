@@ -161,12 +161,12 @@ class _Quotients:
     ``kept`` maps a read set to its quotient, or to None when it is scored
     per edge for good; ``seen`` holds the read sets scored once so far.
     ``left`` is what remains of the byte budget, the bytes of the graph's
-    ``edge_dst`` (none below `QUOTIENT_MIN_EDGES` edges), and ``smallest`` the `_build_bytes` of a one-class
-    quotient; ``closed`` says that even the whole budget is below it, so
-    nothing is ever kept.  Pair
-    counts are float32 while the edge count is below 2^24 and float64
-    otherwise, so that ``pairs.dot(q)`` runs as a BLAS product and stays
-    exact: every partial sum is an integer no larger than the edge count."""
+    ``edge_dst`` (none below `QUOTIENT_MIN_EDGES` edges), and ``smallest``
+    the `_build_bytes` of a one-class quotient; ``closed`` says that even
+    the whole budget is below it, so nothing is ever kept.  Pair counts are
+    float32 while the edge count is below 2^24 and float64 otherwise, so
+    that ``pairs.dot(q)`` runs as a BLAS product and stays exact: every
+    partial sum is an integer no larger than the edge count."""
 
     def __init__(self, graph: GameGraph):
         self.kept: dict[int, _Quotient | None] = {}

@@ -303,11 +303,6 @@ def test_kept_quotients_stay_within_the_edge_bytes():
     assert sum(q.nbytes for q in kept) == graph.edge_dst.nbytes - cache.left <= graph.edge_dst.nbytes
 
 
-@pytest.fixture(scope="module")
-def graph_9x6():
-    return build_graph((9,) * 6, MULTISET)
-
-
 @pytest.mark.parametrize("heaps", [(1,), (2, 4), (1, 3, 5)])
 def test_quotient_build_peaks_under_1_mb(heaps):
     # a fresh graph each time, so that the whole budget is left
@@ -324,11 +319,13 @@ def test_quotient_build_peaks_under_1_mb(heaps):
     assert peak < 2**20
 
 
-def test_formula_reading_a_heap_the_game_lacks_is_refused_on_every_use(graph_4444):
-    c = chrom("a5", "a1", ("+", 1, 2))
+def test_formula_reading_a_heap_the_game_lacks_is_refused_on_every_use():
+    graph = build_graph((9,) * 6, MULTISET)
+    c = chrom("a7", "a1", ("+", 1, 2))
     for _ in range(3):
-        with pytest.raises(ValueError, match="references heap a5"):
-            graph_fitness(c, graph_4444)
+        with pytest.raises(ValueError, match="references heap a7"):
+            graph_fitness(c, graph)
+    assert not graph._quotients.kept  # and no quotient spent budget on it
 
 
 def test_small_graph_keeps_no_quotients(graph_4444):
@@ -339,7 +336,7 @@ def test_small_graph_keeps_no_quotients(graph_4444):
     assert graph_4444._quotients.closed and not graph_4444._quotients.kept
 
 
-def test_single_call_on_a_fresh_graph_builds_nothing(graph_9x6, monkeypatch):
+def test_single_call_on_a_fresh_graph_builds_nothing(monkeypatch):
     builds = []
     build = fitness._build_quotient
     monkeypatch.setattr(fitness, "_build_quotient", lambda *args: builds.append(args) or build(*args))
