@@ -127,10 +127,11 @@ class GameGraph:
     from them on first use: `oracle.retrograde_p_mask` keeps its labeling,
     and `fitness.graph_fitness` keeps, within a byte budget, the quotients
     of a multiset graph by the heaps that formulas read.  Filling either
-    from several threads at once stays safe.  A node's id is its state's code, the state's rank among the
-    graph's states in lexicographic order: the box code in tuple mode, the
-    rank `build_graph` computes in multiset mode.  So node 0 is the
-    terminal (the empty state) and node ``num_nodes - 1`` is the root.  Row
+    from several threads at once stays safe.  A node's id is its state's
+    code, the state's rank among the graph's states in lexicographic
+    order: the box code in tuple mode, the rank `build_graph` computes in
+    multiset mode.  So node 0 is the terminal (the empty state) and node
+    ``num_nodes - 1`` is the root.  Row
     k of ``heap_matrix`` (int64) is node k, and ``nodes[k]`` is that row as
     a state.  Moves always strictly decrease the total object count.
     `bfs_order` gives the node ids in breadth-first discovery order from
