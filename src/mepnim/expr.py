@@ -11,6 +11,7 @@ operators act on the 64-bit bit pattern.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -155,6 +156,11 @@ class Chromosome:
             object.__setattr__(self, "_program", program)
         return program
 
+    def __getstate__(self) -> dict:
+        # only the genes: the kept program is remade on first use, and the
+        # generated scalar function of `evaluate` could not be pickled
+        return {"genes": self.genes}
+
     def __len__(self) -> int:
         return len(self.genes)
 
@@ -222,17 +228,47 @@ def _trunc_mod(a: int, b: int) -> int:
     return _wrap(a - _wrap(_trunc_div(a, b) * b))
 
 
-# scalar operators, indexed by opcode (the order of FUNCTIONS)
-_BINARY = (
-    lambda a, b: _wrap(a + b),
-    lambda a, b: _wrap(a - b),
-    lambda a, b: _wrap(a * b),
-    _trunc_div,
-    _trunc_mod,
-    lambda a, b: a & b,
-    lambda a, b: a | b,
-    lambda a, b: a ^ b,
+# the generated scalar form of each binary opcode (the order of FUNCTIONS),
+# to be filled with its two argument slots: + - * wrap to int64 inline, and
+# div and mod call the helpers that raise EvalError
+_WRAPPED = f"((%s + {_SIGN}) & {_MASK}) - {_SIGN}"
+# a heap read wraps too, adding -2^63 in place of 2^63: no numpy integer type
+# holds both -2^63 and 2^64 - 1, so a numpy integer heap fails here, with
+# OverflowError (older numpy may raise TypeError), before any value comes of it
+_HEAP_READ = f"((h[%d] + -{_SIGN}) & {_MASK}) - {_SIGN}"
+_SCALAR_BINARY = (
+    _WRAPPED % "v%d + v%d",
+    _WRAPPED % "v%d - v%d",
+    _WRAPPED % "v%d * v%d",
+    "_trunc_div(v%d, v%d)",
+    "_trunc_mod(v%d, v%d)",
+    "v%d & v%d",
+    "v%d | v%d",
+    "v%d ^ v%d",
 )
+
+
+def _scalar_function(program: Program):
+    """`program` as a Python function of a heap tuple and the heap count.
+
+    Its source is one assignment per instruction, built from the integer
+    opcodes and slots of ``program.code`` alone (``%d`` refuses anything
+    else), so no gene text reaches `exec`."""
+    lines = ["def run(h, n):"]
+    for slot, (op, x, y) in enumerate(program.code):
+        if op == _HEAP:
+            value = _HEAP_READ % x
+        elif op == _N:
+            value = "n"
+        elif op == _NOT:
+            value = "~v%d" % x
+        else:
+            value = _SCALAR_BINARY[op] % (x, y)
+        lines.append("    v%d = %s" % (slot, value))
+    lines.append("    return v%d" % (len(program.code) - 1))
+    namespace = {"_trunc_div": _trunc_div, "_trunc_mod": _trunc_mod}
+    exec("\n".join(lines), namespace)
+    return namespace["run"]
 
 
 def _check_heap_refs(program: Program, n: int) -> None:
@@ -246,27 +282,26 @@ def evaluate(chrom: Chromosome, state, n: int | None = None) -> int:
     Only genes contributing to the last gene's expression are computed, so
     a division by zero in dead code does not raise.  Raises EvalError for
     div/mod by zero on the active path, ValueError on a state/heap-count
-    mismatch.
+    mismatch.  The first call on a chromosome generates a Python function
+    from its program (`_scalar_function`) and keeps it on the instance
+    beside the program, outside the dataclass fields; every call runs it.
     """
     heaps = tuple(state)
-    if n is None:
-        n = len(heaps)
-    elif n != len(heaps):
+    if n is not None and n != len(heaps):
         raise ValueError(f"state has {len(heaps)} heaps, expected {n}")
+    n = len(heaps)
     program = chrom.program
     _check_heap_refs(program, n)
-
-    values: list[int] = []
-    for op, x, y in program.code:
-        if op == _HEAP:
-            values.append(_wrap(heaps[x]))
-        elif op == _N:
-            values.append(n)
-        elif op == _NOT:
-            values.append(~values[x])
-        else:
-            values.append(_BINARY[op](values[x], values[y]))
-    return values[-1]
+    run = chrom.__dict__.get("_scalar")
+    if run is None:
+        run = _scalar_function(program)
+        object.__setattr__(chrom, "_scalar", run)
+    try:
+        return run(heaps, n)
+    except (OverflowError, TypeError):
+        # numpy integer heaps, such as a heap-matrix row, fail at their
+        # first read (see _HEAP_READ); their int values do not
+        return run(tuple(map(operator.index, heaps)), n)
 
 
 def _div_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -42,20 +42,38 @@ def children(state: GameState, mode: StateSpaceMode) -> list[GameState]:
     """Unique successor states of a canonical state, in deterministic order:
     tuple mode by (heap index, objects removed), multiset mode sorted
     lexicographically descending.  Empty for the terminal state."""
+    return list(_children(state, mode))
+
+
+def _children(state: GameState, mode: StateSpaceMode):
+    """Iterate `children`, one child at a time.
+
+    In multiset mode a child lowers one distinct positive size v, at its
+    last position j, to a remainder r < v.  The child agrees with the state
+    before j and holds less at j, so children of a smaller v (a later j)
+    are lexicographically larger, and two sizes never give the same child.
+    So the sizes are walked from the smallest, each with its remainders
+    descending; r goes into the tail after j at an index that only moves
+    right as r falls, and no set or sort is needed."""
     if mode is StateSpaceMode.TUPLE:
-        out = []
         for i, c in enumerate(state):
             if c:
                 pre, post = state[:i], state[i + 1 :]
                 for rem in range(c - 1, -1, -1):
-                    out.append(pre + (rem,) + post)
-        return out
-    unique = set()
-    for i, c in enumerate(state):
-        if c and c not in state[:i]:  # equal heaps give equal children
-            rest = state[:i] + state[i + 1 :]
-            unique.update(tuple(sorted(rest + (rem,), reverse=True)) for rem in range(c))
-    return sorted(unique, reverse=True)
+                    yield pre + (rem,) + post
+        return
+    j = len(state) - 1
+    while j >= 0 and not state[j]:
+        j -= 1
+    while j >= 0:
+        v, head, tail = state[j], state[:j], state[j + 1 :]
+        p = 0
+        for r in range(v - 1, -1, -1):
+            while p < len(tail) and tail[p] > r:
+                p += 1
+            yield head + tail[:p] + (r,) + tail[p:]
+        while j >= 0 and state[j] == v:
+            j -= 1
 
 
 @dataclass(frozen=True)
@@ -79,8 +97,12 @@ def heap_take(state: GameState, child, mode: StateSpaceMode) -> tuple[int, int]:
         if mode is StateSpaceMode.MULTISET:
             k = state.index(state[k])
         take = sum(state) - sum(child)
-        if 1 <= take <= state[k] and canonicalize(state[:k] + (state[k] - take,) + state[k + 1 :], mode) == child:
-            return k + 1, take
+        if 1 <= take <= state[k]:
+            moved = state[:k] + (state[k] - take,) + state[k + 1 :]
+            if mode is StateSpaceMode.MULTISET:
+                moved = tuple(sorted(moved, reverse=True))
+            if moved == child:
+                return k + 1, take
     raise ValueError(f"{child} is not one move from {state}")
 
 

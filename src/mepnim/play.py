@@ -19,7 +19,7 @@ from .expr import Chromosome, evaluate
 from .fitness import Label
 # `play` no longer calls `moves`, but perfbench/tracer.py wraps `play.moves`
 # by name, so the name stays importable from this module.
-from .game import GameGraph, GameState, StateSpaceMode, canonicalize, children, heap_take, is_terminal, moves
+from .game import GameGraph, GameState, StateSpaceMode, _children, canonicalize, children, heap_take, is_terminal, moves
 from .oracle import retrograde_labels, retrograde_p_mask
 
 Classifier = Callable[[GameState], Label]
@@ -50,14 +50,18 @@ def oracle_classifier(graph: GameGraph) -> Classifier:
 
 
 def best_move(classifier: Classifier, state: GameState, mode: StateSpaceMode) -> GameState:
-    """First child the classifier labels P, else the first child."""
+    """First child the classifier labels P, else the first child.  The
+    children are generated one at a time, so those after the first P child
+    are never made or classified."""
     if is_terminal(state):
         raise ValueError("no moves from the terminal state")
-    legal = children(state, mode)
-    for child in legal:
+    first = None
+    for child in _children(state, mode):
         if classifier(child) is Label.P:
             return child
-    return legal[0]
+        if first is None:
+            first = child
+    return first
 
 
 def classifier_strategy(classifier: Classifier, mode: StateSpaceMode) -> Strategy:

@@ -1,9 +1,10 @@
-"""Shared chromosome builders and the reference game search for the test
-suite."""
+"""Shared chromosome builders, the reference evaluator and the reference
+game search for the test suite."""
 
 import numpy as np
+import pytest
 
-from mepnim.expr import Chromosome, Gene
+from mepnim.expr import _HEAP, _N, _NOT, Chromosome, EvalError, Gene, _trunc_div, _trunc_mod, evaluate, evaluate_many
 from mepnim.game import canonicalize, children
 
 
@@ -39,6 +40,66 @@ def xor3_minus_a4() -> Chromosome:
 def worked_example() -> Chromosome:
     """a1 - a1*a2, the hand-scored example with fitness 4 on (2,1)."""
     return chrom("a1", "a2", ("*", 1, 2), ("-", 1, 3))
+
+
+def wrap64(x: int) -> int:
+    """x as a signed 64-bit two's-complement value."""
+    return ((x + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
+
+
+# the interpreter's binary operators, indexed by opcode (the order of FUNCTIONS)
+_REFERENCE_BINARY = (
+    lambda a, b: wrap64(a + b),
+    lambda a, b: wrap64(a - b),
+    lambda a, b: wrap64(a * b),
+    _trunc_div,
+    _trunc_mod,
+    lambda a, b: a & b,
+    lambda a, b: a | b,
+    lambda a, b: a ^ b,
+)
+
+
+def reference_evaluate(c: Chromosome, state, n: int | None = None) -> int:
+    """The chromosome's value on one state by interpreting its program one
+    instruction at a time: the slow reference for `evaluate` and
+    `evaluate_many`.  Raises EvalError as they do; checks nothing else."""
+    heaps = tuple(state)
+    if n is None:
+        n = len(heaps)
+    values: list[int] = []
+    for op, x, y in c.program.code:
+        if op == _HEAP:
+            values.append(wrap64(heaps[x]))
+        elif op == _N:
+            values.append(n)
+        elif op == _NOT:
+            values.append(~values[x])
+        else:
+            values.append(_REFERENCE_BINARY[op](values[x], values[y]))
+    return values[-1]
+
+
+def _outcome(evaluator, c, state, n):
+    try:
+        return evaluator(c, state, n)
+    except EvalError as error:
+        return f"EvalError: {error}"
+
+
+def assert_evaluators_agree(c: Chromosome, states, n: int) -> None:
+    """`evaluate` on each state equals `reference_evaluate`, EvalError and
+    its message included, and `evaluate_many` on the states' matrix (heaps
+    wrapped to int64) equals it too, or raises EvalError when some state
+    does."""
+    expected = [_outcome(reference_evaluate, c, s, n) for s in states]
+    assert [_outcome(evaluate, c, s, n) for s in states] == expected
+    matrix = np.array([[wrap64(h) for h in s] for s in states], dtype=np.int64).reshape(len(states), n)
+    if any(isinstance(value, str) for value in expected):
+        with pytest.raises(EvalError):
+            evaluate_many(c, matrix, n)
+    else:
+        assert evaluate_many(c, matrix, n).tolist() == expected
 
 
 def reference_bfs(root, mode):

@@ -1,9 +1,10 @@
 """Differential tests of the compiled chromosome form and the fitness cache.
 
-The scalar `evaluate` loop is the reference for the vectorized
-`evaluate_many`; the validating public constructor is the reference for the
-trusted path the variation operators use; and chromosomes that compile to
-the same program code must be indistinguishable to every evaluator.
+The interpreter `reference_evaluate` is the reference for the generated
+scalar `evaluate` and the vectorized `evaluate_many`; the validating
+public constructor is the reference for the trusted path the variation
+operators use; and chromosomes that compile to the same program code must
+be indistinguishable to every evaluator.
 """
 
 import random
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chrom
+from conftest import assert_evaluators_agree, chrom
 from mepnim import evolution
 from mepnim.evolution import EvolutionConfig, evolve
-from mepnim.expr import Chromosome, EvalError, Gene, evaluate, evaluate_many, terminal_symbols
+from mepnim.expr import Chromosome, EvalError, Gene, evaluate_many, terminal_symbols
 from mepnim.fitness import graph_fitness
 from mepnim.game import StateSpaceMode, build_graph
 from mepnim.genetics import OperatorConfig, crossover_one_point, mutate, random_chromosome
@@ -46,17 +47,6 @@ def operator_lineages(draw, n_heaps=None):
             lineage.extend(crossover_one_point(c, partner, rng))
         lineage.append(mutate(lineage[-1], config, n, rng))
     return n, lineage
-
-
-def agree(c: Chromosome, states, n: int) -> None:
-    matrix = np.array(states, dtype=np.int64).reshape(len(states), n)
-    try:
-        expected = [evaluate(c, s, n) for s in states]
-    except EvalError:
-        with pytest.raises(EvalError):
-            evaluate_many(c, matrix, n)
-        return
-    assert evaluate_many(c, matrix, n).tolist() == expected
 
 
 def with_introns(c: Chromosome, n_heaps: int, rng: random.Random) -> Chromosome:
@@ -90,7 +80,7 @@ def test_evaluate_many_matches_scalar_on_operator_outputs(lineage, data):
     n, chromosomes = lineage
     states = data.draw(st.lists(st.tuples(*[heap_values] * n), min_size=1, max_size=6))
     for c in chromosomes:
-        agree(c, states, n)
+        assert_evaluators_agree(c, states, n)
 
 
 @pytest.mark.parametrize("c,state", [
@@ -105,9 +95,22 @@ def test_evaluate_many_matches_scalar_on_operator_outputs(lineage, data):
     # div by zero in dead code, live code on a terminal
     (chrom("a1", "a2", ("div", 1, 2), ("mod", 1, 2), "a1"), (7, 0)),
     (chrom("a1", "a2", ("div", 1, 2), ("-", 1, 1)), (INT64_MIN, 0)),
+    # sums and differences wrapping at +-2^63
+    (chrom("a1", "a2", ("+", 1, 2)), (INT64_MAX, 1)),
+    (chrom("a1", "a2", ("-", 1, 2)), (INT64_MIN, 1)),
+    (chrom("a1", "a2", ("-", 1, 2), ("*", 3, 3)), (INT64_MAX, INT64_MIN)),
+    # div and mod by 0 on the active path
+    (chrom("a1", "a2", ("div", 1, 2)), (7, 0)),
+    (chrom("a1", "a2", ("mod", 1, 2), ("+", 3, 1)), (INT64_MIN, 0)),
+    # heaps of 2^63 and more, read wrapped
+    (chrom("a1", "a2", ("xor", 1, 2)), (1 << 63, (1 << 64) + 5)),
+    (chrom("a1", "a2", ("div", 1, 2), ("mod", 1, 3)), ((1 << 63) + 3, (1 << 70) - 1)),
+    # the heap count terminal
+    (chrom("n", "a1", ("*", 1, 2), ("-", 3, 1)), (INT64_MAX, 0, 2)),
+    (chrom("a1", "n", ("mod", 1, 2)), (INT64_MIN, 0, 0)),
 ])
 def test_evaluate_many_matches_scalar_at_int64_extremes(c, state):
-    agree(c, [state, (1,) * len(state), (0,) * len(state)], len(state))
+    assert_evaluators_agree(c, [state, (1,) * len(state), (0,) * len(state)], len(state))
 
 
 @settings(deadline=None)

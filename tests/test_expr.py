@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chrom, worked_example, xor3_minus_a4
+from conftest import assert_evaluators_agree, chrom, reference_evaluate, worked_example, xor3_minus_a4, xor_chain
 from mepnim.expr import (
+    _HEAP,
     Chromosome,
     EvalError,
     Gene,
@@ -20,6 +22,8 @@ from mepnim.expr import (
     heap_ref,
     max_heap_ref,
     parse_chromosome,
+    Program,
+    _scalar_function,
 )
 from mepnim.game import StateSpaceMode, build_graph
 from mepnim.genetics import random_chromosome
@@ -105,6 +109,67 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(chrom("a3"), (1, 2))
 
+    def test_numpy_rows_and_integers_give_the_value_of_the_int_tuple(self):
+        # a heap-matrix row, and tuples of numpy integers, used to overflow
+        # where the heap read adds 2^63 to wrap
+        graph = build_graph((3, 2, 2), StateSpaceMode.MULTISET)
+        rng = random.Random(5)
+        formulas = [xor_chain(3), chrom("a1", "a2", ("*", 1, 2), "n", ("-", 3, 4))]
+        formulas += [random_chromosome(8, 3, rng) for _ in range(20)]
+        for c in formulas:
+            for row in graph.heap_matrix:
+                state = tuple(row.tolist())
+                try:
+                    expected = evaluate(c, state)
+                except EvalError:
+                    for numpy_state in (row, tuple(row), tuple(row.astype(np.uint64))):
+                        with pytest.raises(EvalError):
+                            evaluate(c, numpy_state)
+                    continue
+                for numpy_state in (row, tuple(row), tuple(row.astype(np.uint64))):
+                    value = evaluate(c, numpy_state)
+                    assert (type(value), value) == (int, expected)
+                assert evaluate(c, state, np.int64(3)) == expected
+        big = (np.uint64(2**63 + 3), np.uint64(5))
+        assert evaluate(chrom("a1", "a2", ("-", 1, 2)), big) == evaluate(chrom("a1", "a2", ("-", 1, 2)), (2**63 + 3, 5))
+
+    def test_generated_function_is_kept_outside_the_fields(self):
+        c, twin = xor_chain(3), xor_chain(3)
+        before = (repr(c), hash(c))
+        assert evaluate(c, (1, 2, 3)) == 0
+        kept = c.__dict__["_scalar"]
+        assert evaluate(c, (1, 2, 4)) == 7
+        assert c.__dict__["_scalar"] is kept
+        assert c == twin and (repr(c), hash(c)) == before == (repr(twin), hash(twin))
+
+    def test_pickles_after_evaluation(self):
+        c = chrom("a1", "a2", ("div", 1, 2), "n", ("+", 3, 4))
+        assert evaluate(c, (7, 2)) == 5
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy == c and "_scalar" not in copy.__dict__
+        assert evaluate(copy, (9, 2)) == 6
+
+    def test_generated_source_takes_only_integer_code(self):
+        # the source is formatted with %d, which refuses text
+        with pytest.raises(TypeError):
+            _scalar_function(Program(0, (0,), ((_HEAP, "0] or __import__('os').getpid() or h[0", 0),)))
+        assert _scalar_function(Program(1, (0, 1, 2), ((_HEAP, 1, 0), (_HEAP, 0, 0), (7, 0, 1))))((6, 3), 2) == 5
+
+    def test_equals_the_reference_on_random_chromosomes(self):
+        rng = random.Random(20261020)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            c = random_chromosome(rng.randint(1, 20), n, rng, rng.choice([0.3, 0.5, 0.9]))
+            for _ in range(4):
+                state = tuple(rng.choice([0, 1, 2, 7, rng.randint(0, 2**62), 2**63 - 1]) for _ in range(n))
+                try:
+                    expected = reference_evaluate(c, state)
+                except EvalError as error:
+                    with pytest.raises(EvalError, match=str(error)):
+                        evaluate(c, state)
+                else:
+                    assert evaluate(c, state) == expected
+
 
 class TestEvaluateMany:
     def test_agrees_with_scalar_path(self):
@@ -116,14 +181,7 @@ class TestEvaluateMany:
                 tuple(rng.choice([0, 1, 2, rng.randint(0, 2**40)]) for _ in range(n))
                 for _ in range(6)
             ]
-            matrix = np.array(states, dtype=np.int64)
-            try:
-                expected = [evaluate(c, s, n) for s in states]
-            except EvalError:
-                with pytest.raises(EvalError):
-                    evaluate_many(c, matrix, n)
-                continue
-            assert evaluate_many(c, matrix, n).tolist() == expected
+            assert_evaluators_agree(c, states, n)
 
     def test_one_writable_int64_value_per_row(self):
         matrix = np.array([[7, 0], [3, 2], [0, 0]], dtype=np.int64)

@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import accumulate, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -34,6 +34,32 @@ def brute_children(state, mode):
         for take in range(1, c + 1):
             out.add(canonicalize(state[:i] + (c - take,) + state[i + 1 :], mode))
     return out
+
+
+def reference_children(state, mode):
+    """`children` as it was before its ordered walk, kept as the slow
+    reference: tuple mode by (heap index, objects removed); multiset mode
+    lowers every distinct size to every smaller one, sorts each child,
+    deduplicates them in a set and sorts the set descending."""
+    if mode is TUPLE:
+        out = []
+        for i, c in enumerate(state):
+            if c:
+                pre, post = state[:i], state[i + 1 :]
+                for rem in range(c - 1, -1, -1):
+                    out.append(pre + (rem,) + post)
+        return out
+    unique = set()
+    for i, c in enumerate(state):
+        if c and c not in state[:i]:  # equal heaps give equal children
+            rest = state[:i] + state[i + 1 :]
+            unique.update(tuple(sorted(rest + (rem,), reverse=True)) for rem in range(c))
+    return sorted(unique, reverse=True)
+
+
+def all_states(max_heaps, max_size):
+    """Every heap tuple of at most `max_heaps` heaps of at most `max_size`."""
+    return [raw for k in range(max_heaps + 1) for raw in product(range(max_size + 1), repeat=k)]
 
 
 def random_state(rng, mode, max_heaps=4, max_size=5):
@@ -87,6 +113,14 @@ def test_children_match_brute_enumeration():
             assert len(got) == len(set(got))
 
 
+@pytest.mark.parametrize("mode", [MULTISET, TUPLE])
+def test_children_equal_the_set_and_sort_reference(mode):
+    # every canonical state of up to 5 heaps of at most 5, in order
+    for raw in all_states(5, 5):
+        state = canonicalize(raw, mode)
+        assert children(state, mode) == reference_children(state, mode), state
+
+
 def test_children_permutation_invariant_in_multiset_mode():
     rng = random.Random(12)
     for _ in range(50):
@@ -117,6 +151,36 @@ def test_move_is_first_heap_take_pair_reaching_its_child():
                     first.setdefault(child, (i + 1, take))
             for m in moves(state, mode):
                 assert (m.heap, m.take) == first[m.child], (mode, state, m)
+
+
+@pytest.mark.parametrize("mode", [MULTISET, TUPLE])
+def test_heap_take_equals_brute_force(mode):
+    """Over every state of up to 4 heaps of at most 5: each child gets the
+    first (heap, take) pair reaching it, and every other candidate (the
+    state itself, a take of 0; two heaps lowered, unless one move also
+    reaches that; a child as a list; a child with a heap more or less)
+    raises ValueError."""
+    for raw in all_states(4, 5):
+        state = canonicalize(raw, mode)
+        first = {}
+        for i, c in enumerate(state):
+            for take in range(1, c + 1):
+                first.setdefault(canonicalize(state[:i] + (c - take,) + state[i + 1 :], mode), (i + 1, take))
+        candidates = [*first, state]
+        for i, j in combinations(range(len(state)), 2):
+            if state[i] and state[j]:
+                lowered = list(state)
+                lowered[i] -= 1
+                lowered[j] -= 1
+                candidates.append(canonicalize(lowered, mode))
+        for child in first:
+            candidates += [list(child), child + (0,), child[:-1]]
+        for candidate in candidates:
+            if isinstance(candidate, tuple) and candidate in first:
+                assert heap_take(state, candidate, mode) == first[candidate], (state, candidate)
+            else:
+                with pytest.raises(ValueError):
+                    heap_take(state, candidate, mode)
 
 
 @pytest.mark.parametrize("state,child,mode", [

@@ -23,6 +23,9 @@ def test_smallest_size_in_a_child_process(capsys):
     assert list(row["seconds"]) == ["build", "label", "verify", "fitness"]
     assert all(s >= 0 for s in row["seconds"].values())
     assert row["total_s"] == pytest.approx(sum(row["seconds"].values()))
+    # the mean seconds of one game of the xor formula against a seeded
+    # random player, outside the steps and their sum
+    assert 0 < row["play_game_s"] < 1
     assert row["peak_rss_mb"] > 1
     # the mean seconds of one graph_fitness call over a seeded batch: its
     # first pass, and its third, once the graph is warm

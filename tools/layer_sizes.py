@@ -8,18 +8,20 @@ Run from the root of a checkout:
 For each size, a fresh child process builds the game graph, labels it with
 `retrograde_p_mask`, verifies the xor formula against that labeling and
 scores it once with `graph_fitness`, timing each step, and reports its peak
-resident set size.  Then it scores a seeded batch of random formulas three
-times.  A multiset graph builds the quotient of a formula's read set (the
-heaps it reads) the second time it sees that set, so the first pass builds
-those the batch holds more than once and the second those it holds once;
-the third scores as evolution does once the graph is warm, for a
-steady-state fitness time.  A fresh process per size keeps one game's
+resident set size.  Then it plays the xor formula from the root against a
+seeded random player, on the winning side, and scores a seeded batch of
+random formulas three times.  A multiset graph builds the quotient of a
+formula's read set (the heaps it reads) the second time it sees that set,
+so the first pass builds those the batch holds more than once and the
+second those it holds once; the third scores as evolution does once the
+graph is warm, for a steady-state fitness time.  A fresh process per size keeps one game's
 memory out of the next one's peak.  The output is one JSON object on
 standard output: per size, the game, its state and edge counts, the
-seconds of each step, their sum, the mean seconds per `graph_fitness` call
-over the batch's first pass (``fitness_first_batch_s``) and over its third
-(``fitness_batch_s``), and the child's peak RSS in MB (which includes the
-interpreter and numpy, about 30 MB).
+seconds of each step, their sum, the mean seconds per game played
+(``play_game_s``, kept out of that sum), the mean seconds per
+`graph_fitness` call over the batch's first pass (``fitness_first_batch_s``)
+and over its third (``fitness_batch_s``), and the child's peak RSS in MB
+(which includes the interpreter and numpy, about 30 MB).
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the batch behind fitness_batch_s: random formulas of BATCH_GENES genes
 BATCH_SIZE, BATCH_GENES, BATCH_SEED = 120, 15, 9
+# the games behind play_game_s, and the seed of the random player
+PLAY_GAMES, PLAY_SEED = 100, 9
 
 # states -> (heaps, state space)
 GAMES = {
@@ -55,7 +59,7 @@ def measure(heaps: tuple[int, ...], mode_name: str) -> dict:
     import resource
     import time
 
-    from mepnim import expr, fitness, game, genetics, oracle
+    from mepnim import expr, fitness, game, genetics, oracle, play
 
     mode = game.StateSpaceMode(mode_name)
     genes = [expr.Gene("a1")]
@@ -77,6 +81,16 @@ def measure(heaps: tuple[int, ...], mode_name: str) -> dict:
     seconds["fitness"] = time.perf_counter() - t0
     if not agrees or total != 0:
         raise SystemExit(f"the xor formula failed on {heaps} {mode_name}")
+    # the formula moves first from an N root (the root is the last node)
+    formula_first = not oracle.retrograde_p_mask(graph)[graph.num_nodes - 1]
+    formula_player = play.classifier_strategy(play.formula_classifier(formula, len(heaps)), mode)
+    opponent = play.random_strategy(random.Random(PLAY_SEED), mode)
+    players, winner = ((formula_player, opponent), 1) if formula_first else ((opponent, formula_player), 2)
+    t0 = time.perf_counter()
+    for _ in range(PLAY_GAMES):
+        if play.play_game(*players, graph.root, mode).winner != winner:
+            raise SystemExit(f"the xor formula lost a game on {heaps} {mode_name}")
+    play_game_s = (time.perf_counter() - t0) / PLAY_GAMES
     rng = random.Random(BATCH_SEED)
     batch = [genetics.random_chromosome(BATCH_GENES, len(heaps), rng) for _ in range(BATCH_SIZE)]
     passes = []
@@ -92,6 +106,7 @@ def measure(heaps: tuple[int, ...], mode_name: str) -> dict:
         "edges": graph.num_edges,
         "seconds": seconds,
         "total_s": sum(seconds.values()),
+        "play_game_s": play_game_s,
         "fitness_first_batch_s": passes[0],
         "fitness_batch_s": passes[2],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
