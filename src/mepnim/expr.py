@@ -228,14 +228,15 @@ def _trunc_mod(a: int, b: int) -> int:
     return _wrap(a - _wrap(_trunc_div(a, b) * b))
 
 
+# `_wrap` inlined, adding -2^63 where `_wrap` adds 2^63 (the same modulo
+# 2^64): no numpy integer type holds both -2^63 and 2^64 - 1, so a heap read
+# of a numpy integer fails here, with OverflowError (older numpy may raise
+# TypeError), before any value comes of it
+_WRAPPED = f"((%s + -{_SIGN}) & {_MASK}) - {_SIGN}"
+_HEAP_READ = _WRAPPED % "h[%d]"
 # the generated scalar form of each binary opcode (the order of FUNCTIONS),
 # to be filled with its two argument slots: + - * wrap to int64 inline, and
 # div and mod call the helpers that raise EvalError
-_WRAPPED = f"((%s + {_SIGN}) & {_MASK}) - {_SIGN}"
-# a heap read wraps too, adding -2^63 in place of 2^63: no numpy integer type
-# holds both -2^63 and 2^64 - 1, so a numpy integer heap fails here, with
-# OverflowError (older numpy may raise TypeError), before any value comes of it
-_HEAP_READ = f"((h[%d] + -{_SIGN}) & {_MASK}) - {_SIGN}"
 _SCALAR_BINARY = (
     _WRAPPED % "v%d + v%d",
     _WRAPPED % "v%d - v%d",

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import xor_chain
 from mepnim.fitness import Label
-from mepnim.game import StateSpaceMode, build_graph
+from mepnim.game import StateSpaceMode, build_graph, canonicalize, children
 from mepnim.oracle import bouton_label
 from mepnim.play import (
     MoveRecord,
@@ -31,6 +31,28 @@ class TestBestMove:
     def test_hopeless_position_falls_back_to_first_child(self):
         # from (1,1) every child is an N-position; first multiset child wins
         assert best_move(bouton_label, (1, 1), MULTISET) == (1, 0)
+
+    def test_hopeless_positions_with_several_children_fall_back_to_the_first(self):
+        for mode in (MULTISET, TUPLE):
+            for state in [(3, 2), (2, 2, 1), (4, 1, 1, 0)]:
+                assert best_move(lambda _: Label.N, state, mode) == children(state, mode)[0]
+
+    @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
+    def test_classifies_the_children_up_to_the_first_p_one(self, mode):
+        for raw in product(range(4), repeat=3):
+            if not any(raw):
+                continue
+            state = canonicalize(raw, mode)
+            legal = children(state, mode)
+            seen = []
+
+            def classify(child):
+                seen.append(child)
+                return bouton_label(child)
+
+            expected = next((c for c in legal if bouton_label(c) is Label.P), legal[0])
+            assert best_move(classify, state, mode) == expected
+            assert seen == (legal[: legal.index(expected) + 1] if bouton_label(expected) is Label.P else legal)
 
     def test_forced_move(self):
         assert best_move(bouton_label, (1,), MULTISET) == (0,)
