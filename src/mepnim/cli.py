@@ -21,6 +21,7 @@ from .evolution import EvolutionConfig, evolve
 from .experiments import emit_csv, experiment_spec, run_sweep
 from .expr import (
     Chromosome,
+    EvalError,
     ParseError,
     decode_infix,
     format_chromosome,
@@ -396,11 +397,17 @@ def _cmd_play(args) -> int:
         )
     _check_size(args, start)  # every opponent lists the children of each state it meets
     classifier = formula_classifier(chrom, len(start))
+    try:
+        if args.human:
+            interactive_session(classifier, start, mode)
+        else:
+            _play_games(args, classifier, start, mode)
+    except EvalError as exc:
+        raise UsageError(f"formula is invalid: {exc}") from None
+    return EXIT_OK
 
-    if args.human:
-        interactive_session(classifier, start, mode)
-        return EXIT_OK
 
+def _play_games(args, classifier, start, mode) -> None:
     mover = classifier_strategy(classifier, mode)
     if args.vs == "random":
         opponent = random_strategy(random.Random(args.seed), mode)
@@ -416,7 +423,6 @@ def _cmd_play(args) -> int:
             for record in game.transcript:
                 print(record)
     print(f"formula (moving first) won {wins}/{args.games} games vs {args.vs}")
-    return EXIT_OK
 
 
 _RUN = {"evolve": _cmd_evolve, "fitness": _cmd_fitness, "oracle": _cmd_oracle,

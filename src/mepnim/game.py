@@ -8,6 +8,7 @@ state (stored sorted non-increasing), ``TUPLE`` keeps heap order positional.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -146,16 +147,19 @@ class GameGraph:
 
     Built once by `build_graph`, and its states and edges never change
     after; safe to share across threads.  The graph also keeps data derived
-    from them on first use: `oracle.retrograde_p_mask` keeps its labeling,
-    and `fitness.graph_fitness` keeps, within a byte budget, the quotients
-    of a multiset graph by the heaps that formulas read.  Filling either
-    from several threads at once stays safe.  A node's id is its state's
+    from them on first use: `code` keeps its per-heap terms,
+    `oracle.retrograde_p_mask` keeps its labeling, and
+    `fitness.graph_fitness` keeps, within a byte budget, the quotients
+    of a multiset graph by the heaps that formulas read.  Filling any of
+    them from several threads at once stays safe.  A node's id is its state's
     code, the state's rank among the graph's states in lexicographic
     order: the box code in tuple mode, the rank `build_graph` computes in
     multiset mode.  So node 0 is the terminal (the empty state) and node
-    ``num_nodes - 1`` is the root.  Row
-    k of ``heap_matrix`` (int64) is node k, and ``nodes[k]`` is that row as
-    a state.  Moves always strictly decrease the total object count.
+    ``num_nodes - 1`` is the root.  Row k of ``heap_matrix`` (int64) is
+    node k, and ``nodes[k]`` is that row as a state.  `code` turns a state
+    into its node id in both modes, with no table of the states, and
+    `heap_rows` turns node ids back into heaps.  Moves always strictly
+    decrease the total object count.
     `bfs_order` gives the node ids in breadth-first discovery order from
     the root, the order the CLI prints states in.
 
@@ -221,6 +225,29 @@ class GameGraph:
             codes = np.asarray(ids, dtype=np.int64).reshape(-1, 1)
             return codes // np.array(self.box_strides, dtype=np.int64) % np.array(self.box_shape, dtype=np.int64)
         return self.heap_matrix[ids]
+
+    def code(self, state) -> int:
+        """The node id of `state`, the inverse of `heap_rows`: the sum over
+        heaps t of a term for ``state[t]``, ``state[t] * box_strides[t]``
+        in tuple mode and the `_rank_offsets` entry in multiset mode.
+        Raises ValueError for a state outside the graph: one of the wrong
+        length, with a heap below 0 or above the root's (past the end of
+        that heap's terms), or, in multiset mode, not non-increasing."""
+        heaps = tuple(state)
+        sized = len(heaps) == self.n_heaps and min(heaps, default=0) >= 0
+        if sized and (self.mode is StateSpaceMode.TUPLE or all(map(operator.ge, heaps, heaps[1:]))):
+            try:
+                return sum(map(operator.getitem, self._code_terms, heaps))
+            except IndexError:
+                pass
+        raise ValueError(f"{heaps} is not a state of this graph")
+
+    @cached_property
+    def _code_terms(self) -> tuple:
+        # per heap t, the term of each value 0..root[t], indexed by the value
+        if self.mode is StateSpaceMode.TUPLE:
+            return tuple(range(0, dim * stride, stride) for dim, stride in zip(self.box_shape, self.box_strides))
+        return tuple(offset.tolist() for offset in _rank_offsets(self.root)[0])
 
     @property
     def num_edges(self) -> int:
@@ -294,26 +321,36 @@ def bfs_order(graph: GameGraph) -> np.ndarray:
     return np.concatenate(order)
 
 
+def _rank_offsets(start: GameState) -> tuple[list[np.ndarray], int]:
+    """The rank table of a sorted multiset root and its state count.
+
+    ``offset[t][v]``, for v up to ``start[t]``, is the number of valid
+    states that agree with a state holding v in column t before that column
+    and hold less in it, so a state's rank, the number of valid states
+    lexicographically below it, is the sum over t of
+    ``offset[t][state[t]]``."""
+    # offset[t][v] = sum of ways[u] for u < v, where ways[u] counts the
+    # valid tails from column t on that hold u in column t
+    offset = [None] * len(start)
+    ways, below = np.ones(1, dtype=np.int64), 0
+    for t in reversed(range(len(start))):
+        ways = np.cumsum(ways)[np.minimum(np.arange(start[t] + 1), below)]
+        offset[t], below = np.cumsum(ways) - ways, start[t]
+    return offset, int(ways.sum())
+
+
 def _multiset_graph(start: GameState) -> GameGraph:
     """The non-increasing states bounded by the sorted root and their
     edges, in rank order, with no search.
 
-    A state's rank is the sum over columns t of ``offset[t][state[t]]``:
-    the number of valid states that agree with it before column t and hold
-    less in column t.  A state's edges come from lowering one of its
-    distinct positive heaps, smallest heap first and the remainder
-    descending, which is `children` order; one row sort puts each child
-    back in canonical order, and its rank is the edge's target."""
+    A state's rank is its sum of `_rank_offsets` entries.  A state's
+    edges come from lowering one of its distinct positive heaps, smallest
+    heap first and the remainder descending, which is `children` order;
+    one row sort puts each child back in canonical order, and its rank is
+    the edge's target."""
     k = len(start)
     value_type = np.min_scalar_type(max(start, default=0))
-    # offset[t][v] = sum of ways[u] for u < v, where ways[u] counts the
-    # valid tails from column t on that hold u in column t
-    offset = [None] * k
-    ways, below = np.ones(1, dtype=np.int64), 0
-    for t in reversed(range(k)):
-        ways = np.cumsum(ways)[np.minimum(np.arange(start[t] + 1), below)]
-        offset[t], below = np.cumsum(ways) - ways, start[t]
-    size = int(ways.sum())
+    offset, size = _rank_offsets(start)
 
     # the valid prefixes of each length in lexicographic order, each with
     # the index of its prefix one shorter; the full ones are the states, in

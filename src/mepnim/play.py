@@ -1,9 +1,10 @@
 """Turning a P/N classifier into a move selector, plus game play.
 
-A classifier maps a state to a P or N label; the induced strategy moves to
-the first P-labeled child in the deterministic child order (a winning move
-whenever one exists under a correct labeling), falling back to the first
-child from hopeless positions.
+A classifier is an is-P predicate: it maps a state to True when it labels
+the state P.  The induced strategy moves to the first child it labels P in
+the deterministic child order (a winning move whenever one exists under a
+correct labeling), falling back to the first child from hopeless
+positions.
 """
 
 from __future__ import annotations
@@ -13,40 +14,35 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .expr import Chromosome, evaluate
-from .fitness import Label
+from .expr import Chromosome, EvalError, evaluate
 # `play` no longer calls `moves`, but perfbench/tracer.py wraps `play.moves`
 # by name, so the name stays importable from this module.
 from .game import GameGraph, GameState, StateSpaceMode, _children, canonicalize, children, heap_take, is_terminal, moves
-from .oracle import retrograde_labels, retrograde_p_mask
+from .oracle import retrograde_p_mask
 
-Classifier = Callable[[GameState], Label]
+Classifier = Callable[[GameState], bool]
 Strategy = Callable[[GameState], GameState]
 
 
 def formula_classifier(chrom: Chromosome, n_heaps: int) -> Classifier:
-    def classify_state(state: GameState) -> Label:
-        return Label.P if evaluate(chrom, state, n_heaps) == 0 else Label.N
+    """The paper's strategy: a state is P exactly when the formula
+    evaluates to 0 on it.  A division by zero raises EvalError naming the
+    state."""
 
-    return classify_state
+    def is_p(state: GameState) -> bool:
+        try:
+            return evaluate(chrom, state, n_heaps) == 0
+        except EvalError as exc:
+            raise EvalError(f"{exc} on state ({', '.join(map(str, state))})") from None
+
+    return is_p
 
 
 def oracle_classifier(graph: GameGraph) -> Classifier:
-    """Lookup into the retrograde labeling; only valid inside the graph.
-
-    A tuple graph is looked up by box code, its node id, with no table: a
-    state outside the box raises ValueError.  A multiset graph is looked up
-    in a state -> Label table, which raises KeyError outside the graph."""
-    if graph.mode is StateSpaceMode.MULTISET:
-        return retrograde_labels(graph).__getitem__
-    is_p, shape = retrograde_p_mask(graph), graph.box_shape
-
-    def classify_state(state: GameState) -> Label:
-        return Label.P if is_p[np.ravel_multi_index(state, shape)] else Label.N
-
-    return classify_state
+    """The retrograde P-mask read at the state's node id, `GameGraph.code`,
+    which raises ValueError for a state outside the graph."""
+    mask, code = retrograde_p_mask(graph), graph.code
+    return lambda state: bool(mask[code(state)])
 
 
 def best_move(classifier: Classifier, state: GameState, mode: StateSpaceMode) -> GameState:
@@ -57,7 +53,7 @@ def best_move(classifier: Classifier, state: GameState, mode: StateSpaceMode) ->
         raise ValueError("no moves from the terminal state")
     first = None
     for child in _children(state, mode):
-        if classifier(child) is Label.P:
+        if classifier(child):
             return child
         if first is None:
             first = child

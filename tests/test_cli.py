@@ -309,6 +309,24 @@ class TestPlay:
         out = capsys.readouterr().out
         assert "machine takes the last object - machine wins" in out
 
+    @pytest.mark.parametrize("mode,opponent,human_moves,state", [
+        ("multiset", ["--vs", "random"], "", "(0, 0, 0, 0)"),
+        ("multiset", ["--vs", "oracle"], "", "(1, 0, 0, 0)"),
+        ("tuple", ["--vs", "random"], "", "(0, 0, 0, 1)"),
+        ("tuple", ["--vs", "oracle"], "", "(0, 0, 1, 2)"),
+        ("multiset", ["--human"], "2 4\n1 3\n1 2\n", "(1, 0, 0, 0)"),
+        ("tuple", ["--human"], "2 4\n", "(4, 0, 3, 2)"),
+    ])
+    def test_dividing_formula_is_one_error_line(self, mode, opponent, human_moves, state, tmp_path, capsys, monkeypatch):
+        # (a1 mod a2) * not a3 divides by zero on every state with a2 = 0
+        formula = tmp_path / "div.mep"
+        formula.write_text("1: a1\n2: a2\n3: mod 1 2\n4: a3\n5: not 4\n6: * 3 5\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(human_moves))
+        code = main(["play", "--formula-file", str(formula), "--heaps", "5,4,3,2", "--state-space", mode, *opponent])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: formula is invalid: modulo by zero on state {state}\n"
+
     def test_bad_heaps_value(self, xor_file, capsys):
         assert main(["play", "--formula-file", xor_file, "--heaps", "4,x"]) == 2
         assert "bad value for --heaps '4,x'" in capsys.readouterr().err
@@ -511,7 +529,7 @@ class TestRunAsModule:
 
 # Good and bad values for every setting; the good ones keep each run small.
 FUZZ_VALUES = {
-    "formula-file": (["xor2.mep", "a1.mep"], ["bad.mep", "binary.mep", "missing.mep", ""]),
+    "formula-file": (["xor2.mep", "a1.mep", "div.mep"], ["bad.mep", "binary.mep", "missing.mep", ""]),
     "name": (["exp1", "exp2", "exp3"], ["exp9", ""]),
     "runs": (["1"], ["0", "-1", "x"]),
     "master-seed": (["0", "5", "-2"], ["1e3"]),
@@ -587,6 +605,7 @@ def test_fuzz_main_exits_with_a_documented_code(case, tmp_path, monkeypatch):
     if not Path("xor2.mep").exists():
         Path("xor2.mep").write_text(format_chromosome(xor_chain(2), heaps=2) + "\n")
         Path("a1.mep").write_text("1: a1\n")
+        Path("div.mep").write_text("1: a1\n2: a2\n3: mod 1 2\n")  # a1 mod a2
         Path("bad.mep").write_text("1: a1\n2: xor 3 1\n")
         Path("binary.mep").write_bytes(b"\xff\xfe\x00")
     Path("fuzz.cfg").write_text(config)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import chrom, reference_edges, worked_example, xor3_minus_a4, xor_chain
 from mepnim import fitness
 from mepnim.expr import _HEAP, Chromosome, EvalError, Gene, evaluate, evaluate_many
-from mepnim.fitness import INVALID, FitnessBreakdown, Label, graph_fitness
+from mepnim.fitness import INVALID, FitnessBreakdown, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph
 from mepnim.genetics import random_chromosome
 from mepnim.oracle import verify_formula
@@ -36,11 +36,11 @@ def graph_4444():
 class TestFormulaClassifier:
     def test_worked_example_labels(self):
         classify = formula_classifier(worked_example(), 2)
-        assert classify((2, 1)) is Label.P
-        assert classify((2, 0)) is Label.N
+        assert classify((2, 1)) is True
+        assert classify((2, 0)) is False
 
     def test_constant_heap_count_is_n_everywhere(self):
-        assert formula_classifier(chrom("n"), 4)((0, 0, 0, 0)) is Label.N
+        assert formula_classifier(chrom("n"), 4)((0, 0, 0, 0)) is False
 
 
 class TestGraphFitness:

@@ -299,6 +299,7 @@ def assert_equals_reference_bfs(root, mode):
     assert graph.heap_matrix.dtype == np.int64
     assert graph.heap_matrix.shape == (len(states), len(root))
     assert graph.heap_matrix.tolist() == [list(s) for s in states]
+    assert [graph.code(s) for s in graph.nodes] == list(range(graph.num_nodes))
     order = bfs_order(graph)
     assert order.dtype == np.int64
     assert order.tolist() == bfs  # the node ids in breadth-first order

@@ -26,6 +26,8 @@ def test_smallest_size_in_a_child_process(capsys):
     # the mean seconds of one game of the xor formula against a seeded
     # random player, outside the steps and their sum
     assert 0 < row["play_game_s"] < 1
+    # the same for the oracle's classifier, made once in the timing
+    assert 0 < row["oracle_play_game_s"] < 1
     assert row["peak_rss_mb"] > 1
     # the mean seconds of one graph_fitness call over a seeded batch: its
     # first pass, and its third, once the graph is warm

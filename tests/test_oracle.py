@@ -239,16 +239,26 @@ def test_graph_is_labeled_once():
         classify = oracle_classifier(graph)
         assert retrograde_p_mask(graph) is mask
     assert level_walk.call_count == 1
-    assert labels == {state: classify(state) for state in graph.nodes}
+    assert all(classify(state) is (labels[state] is Label.P) for state in graph.nodes)
     assert [labels[state] is Label.P for state in graph.nodes] == mask.tolist()
     with pytest.raises(ValueError):
         mask[0] = not mask[0]
 
 
-def test_tuple_oracle_classifier_reads_the_mask():
-    graph = build_graph((3, 0, 2), TUPLE)
+@pytest.mark.parametrize("mode,root,outside", [
+    (TUPLE, (3, 0, 2), [(4, 0, 0), (0, 1, 0), (0, 0, 3), (-1, 0, 0), (1, 1), (1, 1, 1, 1), ()]),
+    # (1, 2) is not sorted, (2, 2) holds more than the sorted root's second heap
+    (MULTISET, (2, 2), [(3, 0), (1, 2), (0, -1), (2,), (2, 2, 0)]),
+    (MULTISET, (3, 1), [(2, 2), (4, 0), (1, 3), (1,)]),
+    (MULTISET, (), [(0,), (1,)]),
+], ids=["tuple", "multiset", "multiset-second-heap", "multiset-no-heaps"])
+def test_oracle_classifier_reads_the_mask_at_the_state_code(mode, root, outside):
+    graph = build_graph(root, mode)
     classify = oracle_classifier(graph)
-    assert {state: classify(state) for state in graph.nodes} == retrograde_labels(graph)
-    for outside in [(4, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 1)]:
+    labels = retrograde_labels(graph)
+    assert all(classify(state) is (labels[state] is Label.P) for state in graph.nodes)
+    for state in outside:
         with pytest.raises(ValueError):
-            classify(outside)
+            graph.code(state)
+        with pytest.raises(ValueError):
+            classify(state)

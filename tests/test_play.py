@@ -23,19 +23,24 @@ MULTISET = StateSpaceMode.MULTISET
 TUPLE = StateSpaceMode.TUPLE
 
 
+def bouton_is_p(state):
+    """Bouton's rule as a classifier, an is-P predicate."""
+    return bouton_label(state) is Label.P
+
+
 class TestBestMove:
     def test_moves_to_the_xor_zero_child(self):
-        assert best_move(bouton_label, (2, 1), MULTISET) == (1, 1)
-        assert best_move(bouton_label, (2, 1), TUPLE) == (1, 1)
+        assert best_move(bouton_is_p, (2, 1), MULTISET) == (1, 1)
+        assert best_move(bouton_is_p, (2, 1), TUPLE) == (1, 1)
 
     def test_hopeless_position_falls_back_to_first_child(self):
         # from (1,1) every child is an N-position; first multiset child wins
-        assert best_move(bouton_label, (1, 1), MULTISET) == (1, 0)
+        assert best_move(bouton_is_p, (1, 1), MULTISET) == (1, 0)
 
     def test_hopeless_positions_with_several_children_fall_back_to_the_first(self):
         for mode in (MULTISET, TUPLE):
             for state in [(3, 2), (2, 2, 1), (4, 1, 1, 0)]:
-                assert best_move(lambda _: Label.N, state, mode) == children(state, mode)[0]
+                assert best_move(lambda _: False, state, mode) == children(state, mode)[0]
 
     @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
     def test_classifies_the_children_up_to_the_first_p_one(self, mode):
@@ -48,18 +53,18 @@ class TestBestMove:
 
             def classify(child):
                 seen.append(child)
-                return bouton_label(child)
+                return bouton_is_p(child)
 
             expected = next((c for c in legal if bouton_label(c) is Label.P), legal[0])
             assert best_move(classify, state, mode) == expected
             assert seen == (legal[: legal.index(expected) + 1] if bouton_label(expected) is Label.P else legal)
 
     def test_forced_move(self):
-        assert best_move(bouton_label, (1,), MULTISET) == (0,)
+        assert best_move(bouton_is_p, (1,), MULTISET) == (0,)
 
     def test_terminal_rejected(self):
         with pytest.raises(ValueError):
-            best_move(bouton_label, (0, 0), MULTISET)
+            best_move(bouton_is_p, (0, 0), MULTISET)
 
     def test_deterministic(self):
         classify = formula_classifier(xor_chain(3), 3)
@@ -68,7 +73,7 @@ class TestBestMove:
 
 class TestPlayGame:
     def test_single_object_first_mover_wins(self):
-        strat = classifier_strategy(bouton_label, MULTISET)
+        strat = classifier_strategy(bouton_is_p, MULTISET)
         game = play_game(strat, strat, (1,), MULTISET)
         assert game.winner == 1
         assert len(game.transcript) == 1

@@ -9,19 +9,22 @@ For each size, a fresh child process builds the game graph, labels it with
 `retrograde_p_mask`, verifies the xor formula against that labeling and
 scores it once with `graph_fitness`, timing each step, and reports its peak
 resident set size.  Then it plays the xor formula from the root against a
-seeded random player, on the winning side, and scores a seeded batch of
-random formulas three times.  A multiset graph builds the quotient of a
-formula's read set (the heaps it reads) the second time it sees that set,
-so the first pass builds those the batch holds more than once and the
-second those it holds once; the third scores as evolution does once the
-graph is warm, for a steady-state fitness time.  A fresh process per size keeps one game's
-memory out of the next one's peak.  The output is one JSON object on
-standard output: per size, the game, its state and edge counts, the
-seconds of each step, their sum, the mean seconds per game played
-(``play_game_s``, kept out of that sum), the mean seconds per
-`graph_fitness` call over the batch's first pass (``fitness_first_batch_s``)
-and over its third (``fitness_batch_s``), and the child's peak RSS in MB
-(which includes the interpreter and numpy, about 30 MB).
+seeded random player, on the winning side, then the oracle's classifier
+(`play.oracle_classifier`) against the same seeded player, and scores a
+seeded batch of random formulas three times.  A multiset graph builds the
+quotient of a formula's read set (the heaps it reads) the second time it
+sees that set, so the first pass builds those the batch holds more than
+once and the second those it holds once; the third scores as evolution
+does once the graph is warm, for a steady-state fitness time.  A fresh
+process per size keeps one game's memory out of the next one's peak.  The
+output is one JSON object on standard output: per size, the game, its
+state and edge counts, the seconds of each step, their sum, the mean
+seconds per game played by the formula (``play_game_s``) and by the oracle
+(``oracle_play_game_s``, which includes making its classifier once), both
+kept out of that sum, the mean seconds per `graph_fitness` call over the
+batch's first pass (``fitness_first_batch_s``) and over its third
+(``fitness_batch_s``), and the child's peak RSS in MB (which includes the
+interpreter and numpy, about 30 MB).
 """
 
 from __future__ import annotations
@@ -81,16 +84,22 @@ def measure(heaps: tuple[int, ...], mode_name: str) -> dict:
     seconds["fitness"] = time.perf_counter() - t0
     if not agrees or total != 0:
         raise SystemExit(f"the xor formula failed on {heaps} {mode_name}")
-    # the formula moves first from an N root (the root is the last node)
-    formula_first = not oracle.retrograde_p_mask(graph)[graph.num_nodes - 1]
-    formula_player = play.classifier_strategy(play.formula_classifier(formula, len(heaps)), mode)
-    opponent = play.random_strategy(random.Random(PLAY_SEED), mode)
-    players, winner = ((formula_player, opponent), 1) if formula_first else ((opponent, formula_player), 2)
-    t0 = time.perf_counter()
-    for _ in range(PLAY_GAMES):
-        if play.play_game(*players, graph.root, mode).winner != winner:
-            raise SystemExit(f"the xor formula lost a game on {heaps} {mode_name}")
-    play_game_s = (time.perf_counter() - t0) / PLAY_GAMES
+    # a correct player moves first from an N root (the root is the last node)
+    correct_first = not oracle.retrograde_p_mask(graph)[graph.num_nodes - 1]
+
+    def mean_game_s(name, make_classifier):
+        # making the classifier is timed once, with the games
+        t0 = time.perf_counter()
+        player = play.classifier_strategy(make_classifier(), mode)
+        opponent = play.random_strategy(random.Random(PLAY_SEED), mode)
+        players, winner = ((player, opponent), 1) if correct_first else ((opponent, player), 2)
+        for _ in range(PLAY_GAMES):
+            if play.play_game(*players, graph.root, mode).winner != winner:
+                raise SystemExit(f"the {name} lost a game on {heaps} {mode_name}")
+        return (time.perf_counter() - t0) / PLAY_GAMES
+
+    play_game_s = mean_game_s("xor formula", lambda: play.formula_classifier(formula, len(heaps)))
+    oracle_play_game_s = mean_game_s("oracle", lambda: play.oracle_classifier(graph))
     rng = random.Random(BATCH_SEED)
     batch = [genetics.random_chromosome(BATCH_GENES, len(heaps), rng) for _ in range(BATCH_SIZE)]
     passes = []
@@ -107,6 +116,7 @@ def measure(heaps: tuple[int, ...], mode_name: str) -> dict:
         "seconds": seconds,
         "total_s": sum(seconds.values()),
         "play_game_s": play_game_s,
+        "oracle_play_game_s": oracle_play_game_s,
         "fitness_first_batch_s": passes[0],
         "fitness_batch_s": passes[2],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
