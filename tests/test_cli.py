@@ -316,7 +316,7 @@ class TestPlay:
         ("tuple", ["--vs", "oracle"], "", "(0, 0, 1, 2)"),
         ("multiset", ["--human"], "2 4\n1 3\n1 2\n", "(1, 0, 0, 0)"),
         ("tuple", ["--human"], "2 4\n", "(4, 0, 3, 2)"),
-    ])
+    ], ids=["multiset-random", "multiset-oracle", "tuple-random", "tuple-oracle", "multiset-human", "tuple-human"])
     def test_dividing_formula_is_one_error_line(self, mode, opponent, human_moves, state, tmp_path, capsys, monkeypatch):
         # (a1 mod a2) * not a3 divides by zero on every state with a2 = 0
         formula = tmp_path / "div.mep"
