@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .evolution import EvolutionConfig, evolve
-from .experiments import emit_csv, experiment_spec, run_sweep
+from .experiments import EXPERIMENTS, emit_csv, experiment_spec, run_sweep
 from .expr import (
     Chromosome,
     EvalError,
@@ -119,7 +119,7 @@ class Setting(NamedTuple):
 SETTINGS = (
     Setting("formula-file", _load_formula, "the formula, as a chromosome listing",
             dict.fromkeys(("fitness", "verify", "play"), _REQUIRED)),
-    Setting("name", _one_of("exp1", "exp2", "exp3"), "which sweep to run: exp1, exp2 or exp3",
+    Setting("name", _one_of(*EXPERIMENTS), f"which stock sweep to run: {', '.join(EXPERIMENTS)}",
             {"experiment": _REQUIRED}),
     Setting("runs", _INTEGER, "runs per parameter value", {"experiment": _STOCK_SWEEP.runs_per_value}),
     Setting("master-seed", _INTEGER, "seed all per-run seeds derive from", {"experiment": 0}),

@@ -103,31 +103,23 @@ def emit_csv(table: tuple[SweepRow, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The stock sweeps by name: the swept parameter, its values and the
+#: settings each holds fixed.
+EXPERIMENTS = {
+    "exp1": ("population_size", tuple(range(20, 201, 20)), {"generations": 100, "chromosome_length": 15}),
+    "exp2": ("generations", tuple(range(20, 201, 20)), {"population_size": 100, "chromosome_length": 15}),
+    "exp3": ("chromosome_length", tuple(range(5, 51, 5)), {"population_size": 100, "generations": 50}),
+}
+
+
 def experiment_spec(name: str, base: EvolutionConfig | None = None, runs_per_value: int = 50) -> SweepSpec:
-    """The three stock sweeps: population size 20..200 (exp1), generation
-    budget 20..200 (exp2), chromosome length 5..50 (exp3), all on the
-    (4,4,4,4) multiset game unless another base config is supplied."""
+    """The stock sweep `name` of `EXPERIMENTS`: population size 20..200
+    (exp1), generation budget 20..200 (exp2), chromosome length 5..50
+    (exp3), all on the (4,4,4,4) multiset game unless another base config
+    is supplied."""
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}; expected exp1, exp2, or exp3")
+    parameter, values, fixed = EXPERIMENTS[name]
     if base is None:
         base = EvolutionConfig(heaps=(4, 4, 4, 4))
-    if name == "exp1":
-        return SweepSpec(
-            "population_size",
-            tuple(range(20, 201, 20)),
-            replace(base, generations=100, chromosome_length=15),
-            runs_per_value,
-        )
-    if name == "exp2":
-        return SweepSpec(
-            "generations",
-            tuple(range(20, 201, 20)),
-            replace(base, population_size=100, chromosome_length=15),
-            runs_per_value,
-        )
-    if name == "exp3":
-        return SweepSpec(
-            "chromosome_length",
-            tuple(range(5, 51, 5)),
-            replace(base, population_size=100, generations=50),
-            runs_per_value,
-        )
-    raise ValueError(f"unknown experiment {name!r}; expected exp1, exp2, or exp3")
+    return SweepSpec(parameter, values, replace(base, **fixed), runs_per_value)

@@ -170,8 +170,10 @@ class GameGraph:
     ``box_axes[i]`` is ``np.arange(h_i + 1)`` shaped to axis i of the box,
     so the axes broadcast together to every state's heaps in box order.
     The children of a state are the states ``t * box_strides[i]`` codes
-    below it, so fitness, labeling and verification work on the box, and
-    ``heap_matrix`` is built from `np.indices` only when it is first read.
+    below it, so fitness, labeling, play against the oracle and the
+    verification of a graph of at least `oracle.BOX_VERIFY_STATES` states
+    work on the box.  ``heap_matrix`` is built from `np.indices` only when
+    it is first read, as verifying a smaller graph does.
 
     A multiset graph has None for the three box attributes and keeps its
     edges: node u's children are ``edge_dst[edge_offsets[u]:edge_offsets[u
@@ -328,7 +330,11 @@ def _rank_offsets(start: GameState) -> tuple[list[np.ndarray], int]:
     states that agree with a state holding v in column t before that column
     and hold less in it, so a state's rank, the number of valid states
     lexicographically below it, is the sum over t of
-    ``offset[t][state[t]]``."""
+    ``offset[t][state[t]]``.  Every ``offset[t]`` starts at 0 and strictly
+    increases, since each value has at least one valid tail (all zeros),
+    so the one table also unranks: column t of the state of rank r is the
+    last v with ``offset[t][v]`` at most what is left of r once the
+    entries of the columns before t are taken off."""
     # offset[t][v] = sum of ways[u] for u < v, where ways[u] counts the
     # valid tails from column t on that hold u in column t
     offset = [None] * len(start)
@@ -343,7 +349,8 @@ def _multiset_graph(start: GameState) -> GameGraph:
     """The non-increasing states bounded by the sorted root and their
     edges, in rank order, with no search.
 
-    A state's rank is its sum of `_rank_offsets` entries.  A state's
+    A state's rank is its sum of `_rank_offsets` entries, and the states
+    come from unranking 0 .. size - 1 through the same table.  A state's
     edges come from lowering one of its distinct positive heaps, smallest
     heap first and the remainder descending, which is `children` order;
     one row sort puts each child back in canonical order, and its rank is
@@ -352,22 +359,14 @@ def _multiset_graph(start: GameState) -> GameGraph:
     value_type = np.min_scalar_type(max(start, default=0))
     offset, size = _rank_offsets(start)
 
-    # the valid prefixes of each length in lexicographic order, each with
-    # the index of its prefix one shorter; the full ones are the states, in
-    # rank order
-    values, prefix = [np.arange(start[0] + 1)] if k else [], []
-    for bound in start[1:]:
-        counts = np.minimum(values[-1], bound) + 1
-        ends = np.cumsum(counts)
-        prefix.append(np.repeat(np.arange(len(counts)), counts))
-        values.append(np.arange(ends[-1]) - np.repeat(ends - counts, counts))
+    # the states in rank order: each rank unranked one column at a time
     ascending = np.empty((size, k), dtype=value_type)  # each state's heaps smallest first
-    index = np.arange(size)
-    for t in reversed(range(k)):
-        ascending[:, k - 1 - t] = values[t][index]
-        if t:
-            index = prefix[t - 1][index]
-    del values, prefix, index
+    rest = np.arange(size)  # each rank less the entries of the columns before
+    for t in range(k):
+        heap = np.searchsorted(offset[t], rest, side="right") - 1
+        rest -= offset[t][heap]
+        ascending[:, k - 1 - t] = heap
+    del rest
 
     # one edge group per (state, first column of a positive value), ascending
     first = np.ones(ascending.shape, dtype=bool)
