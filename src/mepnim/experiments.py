@@ -113,10 +113,8 @@ EXPERIMENTS = {
 
 
 def experiment_spec(name: str, base: EvolutionConfig | None = None, runs_per_value: int = 50) -> SweepSpec:
-    """The stock sweep `name` of `EXPERIMENTS`: population size 20..200
-    (exp1), generation budget 20..200 (exp2), chromosome length 5..50
-    (exp3), all on the (4,4,4,4) multiset game unless another base config
-    is supplied."""
+    """The stock sweep `name` of `EXPERIMENTS`, on the (4,4,4,4) multiset
+    game unless another base config is supplied."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; expected exp1, exp2, or exp3")
     parameter, values, fixed = EXPERIMENTS[name]
