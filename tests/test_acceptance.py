@@ -149,7 +149,6 @@ def test_criterion_06_operator_closure():
           violations == 0, f"{applications} applications, {violations} violations")
 
 
-@pytest.mark.slow
 def test_criterion_07_experiment2_success_band():
     t0 = time.perf_counter()
     spec = experiment_spec("exp2")  # pop 100, length 15, (4,4,4,4) multiset
@@ -160,7 +159,6 @@ def test_criterion_07_experiment2_success_band():
           f"successes={row.successes}/{row.runs}, rate={row.success_rate:.2f}, {elapsed:.0f} s")
 
 
-@pytest.mark.slow
 def test_criterion_08_experiment1_population_trend():
     spec = experiment_spec("exp1")  # length 15, 100 generations
     small = run_cell(spec, 20, master_seed=0)

@@ -197,7 +197,9 @@ def test_int64_min_over_minus_one_formula():
 @pytest.mark.parametrize("op", ["div", "mod"])
 def test_int64_min_over_minus_one_equals_scalar_evaluate_without_warnings(op):
     # numpy's floor_divide also gives INT64_MIN for INT64_MIN // -1, but
-    # warns of the overflow; the vectorised operators must not reach it
+    # warns of the overflow, so `div` must not reach it; `mod` passes
+    # INT64_MIN mod -1 to np.fmod and relies on it returning 0 without a
+    # warning, which this test pins
     graph = build_graph((3, 1), TUPLE)
     formula = int64_min_over_minus_one(op)
     with warnings.catch_warnings():

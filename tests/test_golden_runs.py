@@ -13,8 +13,6 @@ Regenerate (only when a change to seeded outputs is intended and recorded):
 
 from pathlib import Path
 
-import pytest
-
 from mepnim.evolution import EvolutionConfig, evolve
 from mepnim.expr import format_chromosome
 from mepnim.game import StateSpaceMode
@@ -42,7 +40,6 @@ def golden_lines() -> list[str]:
     return [run_line(name, seed) for name in CONFIGS for seed in SEEDS]
 
 
-@pytest.mark.slow
 def test_seeded_runs_match_golden_file():
     expected = GOLDEN.read_text().splitlines()
     assert len(expected) == len(CONFIGS) * len(SEEDS)
