@@ -29,7 +29,7 @@ from .expr import (
     parse_chromosome,
 )
 from .fitness import INVALID, graph_fitness
-from .game import StateSpaceMode, bfs_order, build_graph, canonicalize, state_count
+from .game import StateSpaceMode, bfs_order, build_graph, canonicalize, edge_count, state_count
 from .genetics import OperatorConfig
 from .oracle import retrograde_p_mask, verify_formula
 from .play import (
@@ -52,6 +52,11 @@ DEFAULT_MAX_STATES = 1_000_000
 #: refuses many small heaps, whose state count alone passes, before their
 #: heap matrix is allocated.
 CELLS_PER_STATE = 16
+#: Edges a multiset game may have per state that --max-states allows:
+#: enough for (20,)*6 (48 per state) and (500,500) (62,750,250 edges), and
+#: it refuses one-heap and two-heap games whose edges, about states times
+#: heap size, would fill memory before their states do.
+EDGES_PER_STATE = 64
 
 
 class UsageError(Exception):
@@ -140,8 +145,9 @@ SETTINGS = (
     Setting("games", _COUNT, "number of games", {"play": 1}),
     Setting("out", _FILE, "output path: the formula (evolve) or the CSV (experiment)",
             {"evolve": Path("best.mep"), "experiment": Path("results.csv")}, echo=False),
-    Setting("max-states", _COUNT, "refuse, before building it, a game with more states"
-            f" or more than {CELLS_PER_STATE} times as many heap cells",
+    Setting("max-states", _COUNT, "refuse, before building it, a game with more states,"
+            f" more than {CELLS_PER_STATE} times as many heap cells, or (multiset)"
+            f" more than {EDGES_PER_STATE} times as many edges",
             dict.fromkeys(COMMANDS, DEFAULT_MAX_STATES), echo=False),
 )
 
@@ -223,10 +229,13 @@ def _write_file(path: Path, text: str) -> None:
 
 def _check_size(args, heaps) -> None:
     """Refuse, before anything is built, a game with more states than
-    --max-states, or with more heap-matrix cells (states times heaps) than
-    `CELLS_PER_STATE` times --max-states.  Every game has at least
-    1 + sum(heaps) states, so a game that fails on that count is refused
-    without counting its states."""
+    --max-states, with more heap-matrix cells (states times heaps) than
+    `CELLS_PER_STATE` times --max-states, or, in multiset mode, with more
+    edges than `EDGES_PER_STATE` times --max-states.  Every game has at
+    least 1 + sum(heaps) states, so a game that fails on that count is
+    refused without counting its states, and the edges, whose count costs
+    time in the sum of the heaps, are counted only for a game that passes
+    the other two bounds."""
     limit, mode = args.max_states, args.state_space
     cells = CELLS_PER_STATE * limit
     count = sum(heaps) + 1
@@ -242,6 +251,13 @@ def _check_size(args, heaps) -> None:
             f"heaps {_fmt(heaps)} give {shown} {mode.value} states of {len(heaps)} heaps, more than {cells}"
             f" heap cells ({CELLS_PER_STATE} times --max-states {limit})"
         )
+    if mode is StateSpaceMode.MULTISET:
+        edges = edge_count(heaps, mode)
+        if edges > EDGES_PER_STATE * limit:
+            raise UsageError(
+                f"heaps {_fmt(heaps)} give {edges} multiset edges, more than {EDGES_PER_STATE * limit} edges"
+                f" ({EDGES_PER_STATE} times --max-states {limit})"
+            )
 
 
 def _build(args, heaps):
@@ -395,7 +411,7 @@ def _cmd_play(args) -> int:
         raise UsageError(
             f"formula references heap a{max_heap_ref(chrom) + 1} but the game has {len(start)} heaps"
         )
-    _check_size(args, start)  # every opponent lists the children of each state it meets
+    _check_size(args, start)  # the formula walks the children of each state it meets
     classifier = formula_classifier(chrom, len(start))
     try:
         if args.human:

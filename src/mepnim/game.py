@@ -77,6 +77,42 @@ def _children(state: GameState, mode: StateSpaceMode):
             j -= 1
 
 
+def nth_child(state: GameState, index: int, mode: StateSpaceMode) -> GameState:
+    """``children(state, mode)[index]``, made alone.  A state has
+    ``sum(state)`` children in tuple mode and ``sum(set(state))`` in
+    multiset mode, one per remainder of each (distinct) positive size;
+    an index outside them raises IndexError.  Tuple mode walks the heaps
+    in order, multiset mode the distinct sizes smallest first, each with
+    its remainders descending, as `_children` does."""
+    if index < 0:
+        raise IndexError("child index out of range")
+    if mode is StateSpaceMode.TUPLE:
+        for i, c in enumerate(state):
+            if index < c:
+                return state[:i] + (c - 1 - index,) + state[i + 1 :]
+            index -= c
+        raise IndexError("child index out of range")
+    j = len(state) - 1
+    while j >= 0:
+        v = state[j]  # at its last position j; a size of 0 has no children
+        if index < v:
+            return _lowered(state, j, v - 1 - index)
+        index -= v
+        while j >= 0 and state[j] == v:
+            j -= 1
+    raise IndexError("child index out of range")
+
+
+def _lowered(state: GameState, j: int, r: int) -> GameState:
+    """A multiset state with its size at position j lowered to r, in
+    canonical order: r goes into the tail after j past the sizes above it."""
+    tail = state[j + 1 :]
+    p = 0
+    while p < len(tail) and tail[p] > r:
+        p += 1
+    return state[:j] + tail[:p] + (r,) + tail[p:]
+
+
 @dataclass(frozen=True)
 class Move:
     """A legal move: remove ``take`` objects from 1-based heap ``heap``,
@@ -93,17 +129,18 @@ def heap_take(state: GameState, child, mode: StateSpaceMode) -> tuple[int, int]:
     multiset mode the first heap holding the size that shrank, which is the
     size at the first position where the two sorted tuples differ.  Raises
     ValueError when no single move reaches `child`."""
-    k = next((i for i, (a, b) in enumerate(zip(state, child)) if a != b), None)
-    if k is not None:
-        if mode is StateSpaceMode.MULTISET:
-            k = state.index(state[k])
-        take = sum(state) - sum(child)
-        if 1 <= take <= state[k]:
-            moved = state[:k] + (state[k] - take,) + state[k + 1 :]
-            if mode is StateSpaceMode.MULTISET:
-                moved = tuple(sorted(moved, reverse=True))
-            if moved == child:
-                return k + 1, take
+    for k, (v, c) in enumerate(zip(state, child)):
+        if v != c:
+            if mode is StateSpaceMode.TUPLE:
+                if 0 <= c < v and child[k + 1 :] == state[k + 1 :]:
+                    return k + 1, v - c
+            else:
+                # a move lowers v, at its last position (the first that
+                # differs), to r, and the child holds the tail after it and r
+                r = sum(child[k:]) - sum(state[k + 1 :])
+                if 0 <= r < v and child == _lowered(state, k, r):
+                    return state.index(v) + 1, v - r
+            break
     raise ValueError(f"{child} is not one move from {state}")
 
 
@@ -140,6 +177,35 @@ def state_count(root, mode: StateSpaceMode) -> int:
             sign = -sign
         d.append(total)
     return d[-1]
+
+
+def edge_count(root, mode: StateSpaceMode) -> int:
+    """Number of moves between the states reachable from the root, without
+    building anything: each state has one move per remainder of each of
+    its distinct positive sizes (`nth_child`'s count).  Tuple mode: heap i
+    holds each value v <= h_i in prod(h + 1) / (h_i + 1) states, so the
+    box has prod(h + 1) * h_i / 2 moves on heap i.  Multiset mode: a DP
+    over the columns of the sorted root from the last, like
+    `_rank_offsets`, counts per value v of column t the valid tails from
+    t on that hold v there and the sum of their distinct sizes, each size
+    counted at its last column: v is last when the next column holds less.
+    Its cost grows with the sum of the heaps; the counts are int64."""
+    start = canonicalize(root, mode)
+    if mode is StateSpaceMode.TUPLE:
+        return math.prod(h + 1 for h in start) * sum(start) // 2
+    # ways[v], sizes[v]: the tails from the column after t holding v there,
+    # and the sum of their counted sizes; past the last column only the
+    # empty tail, as if it held 0
+    ways, sizes, below = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), 0
+    for t in reversed(range(len(start))):
+        value = np.arange(start[t] + 1)
+        at_most = np.minimum(value, below)  # the most the next column may hold
+        tails = np.cumsum(ways)
+        # the tails whose next column holds less than v, which count v
+        lower = np.concatenate(([0], tails))[np.minimum(value, below + 1)]
+        ways, sizes = tails[at_most], np.cumsum(sizes)[at_most] + value * lower
+        below = start[t]
+    return int(sizes.sum())
 
 
 class GameGraph:
@@ -254,9 +320,7 @@ class GameGraph:
     @property
     def num_edges(self) -> int:
         if self.mode is StateSpaceMode.TUPLE:
-            # heap i holds each value v <= h_i in prod(h + 1) / (h_i + 1)
-            # states, so the box has prod(h + 1) * h_i / 2 moves on heap i
-            return self.num_nodes * sum(self.root) // 2
+            return edge_count(self.root, self.mode)
         return len(self.edge_dst)
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 from .expr import Chromosome, EvalError, evaluate
 # `play` no longer calls `moves`, but perfbench/tracer.py wraps `play.moves`
 # by name, so the name stays importable from this module.
-from .game import GameGraph, GameState, StateSpaceMode, _children, canonicalize, children, heap_take, is_terminal, moves
+from .game import GameGraph, GameState, StateSpaceMode, _children, canonicalize, heap_take, is_terminal, moves, nth_child
 from .oracle import retrograde_p_mask
 
 Classifier = Callable[[GameState], bool]
@@ -65,7 +65,12 @@ def classifier_strategy(classifier: Classifier, mode: StateSpaceMode) -> Strateg
 
 
 def random_strategy(rng: random.Random, mode: StateSpaceMode) -> Strategy:
-    return lambda state: rng.choice(children(state, mode))
+    """A uniformly drawn child, the one ``rng.choice(children(state,
+    mode))`` draws: it draws the index over the `nth_child` count the same
+    way and makes only that child."""
+    if mode is StateSpaceMode.TUPLE:
+        return lambda state: nth_child(state, rng.choice(range(sum(state))), mode)
+    return lambda state: nth_child(state, rng.choice(range(sum(set(state)))), mode)
 
 
 @dataclass(frozen=True)

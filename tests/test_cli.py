@@ -393,6 +393,43 @@ class TestBadSettings:
         self.assert_usage_error(code, capsys, "28629151 tuple states", "--max-states 1000000")
         assert list(tmp_path.iterdir()) == [tmp_path / "xor.mep"]
 
+    @pytest.mark.parametrize("command,extra", [
+        ("evolve", []),
+        ("fitness", ["--formula-file"]),
+        ("oracle", []),
+        ("verify", ["--formula-file"]),
+        ("experiment", ["--name", "exp1"]),
+        ("play", ["--vs", "oracle", "--formula-file"]),
+    ])
+    def test_multiset_game_above_max_edges_refused_before_build(self, command, extra, tmp_path, capsys):
+        # (65536,) has 65,537 states, under the default limit of 10**6, but
+        # 2,147,516,416 edges: building it runs out of memory
+        formula = tmp_path / "a1.mep"
+        formula.write_text("1: a1\n")
+        args = [command, "--heaps", "65536", *extra]
+        if extra and extra[-1] == "--formula-file":
+            args.append(str(formula))
+        if command in ("evolve", "experiment"):
+            args += ["--out", str(tmp_path / "out")]
+        t0 = time.perf_counter()
+        code = main(args)
+        assert time.perf_counter() - t0 < 0.5
+        self.assert_usage_error(code, capsys, "2147516416 multiset edges", "more than 64000000 edges",
+                                "--max-states 1000000")
+        assert list(tmp_path.iterdir()) == [formula]
+
+    def test_edge_bound_is_the_largest_multiset_game_allowed(self, capsys):
+        # (200,) multiset has 201 states and 20,100 edges: 64 * 315 = 20,160
+        assert main(["oracle", "--heaps", "200", "--max-states", "315"]) == 0
+        capsys.readouterr()
+        code = main(["oracle", "--heaps", "200", "--max-states", "314"])
+        self.assert_usage_error(code, capsys, "20100 multiset edges", "more than 20096 edges", "--max-states 314")
+
+    def test_tuple_game_is_not_refused_by_its_edges(self, capsys):
+        # (1000,) tuple has 1,001 states and 500,500 moves, but a tuple graph
+        # stores no edges
+        assert main(["oracle", "--heaps", "1000", "--state-space", "tuple", "--max-states", "1001"]) == 0
+
     @pytest.mark.parametrize("opponent", [["--vs", "random"], ["--vs", "oracle"], ["--human"]])
     def test_play_refuses_a_large_game_against_every_opponent(self, opponent, tmp_path, capsys):
         # (2000000, 2000000) has about 2e12 multiset states, refused on its

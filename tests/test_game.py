@@ -17,10 +17,13 @@ from mepnim.game import (
     canonicalize,
     children,
     heap_take,
+    edge_count,
     is_terminal,
     moves,
+    nth_child,
     state_count,
 )
+from mepnim.play import play_game, random_strategy
 
 MULTISET = StateSpaceMode.MULTISET
 TUPLE = StateSpaceMode.TUPLE
@@ -55,6 +58,24 @@ def reference_children(state, mode):
             rest = state[:i] + state[i + 1 :]
             unique.update(tuple(sorted(rest + (rem,), reverse=True)) for rem in range(c))
     return sorted(unique, reverse=True)
+
+
+def reference_heap_take(state, child, mode):
+    """`heap_take` as it was before it stopped rebuilding the move, kept as
+    the slow reference: take is the difference of the two totals, and the
+    moved state, re-sorted in multiset mode, must equal the child."""
+    k = next((i for i, (a, b) in enumerate(zip(state, child)) if a != b), None)
+    if k is not None:
+        if mode is MULTISET:
+            k = state.index(state[k])
+        take = sum(state) - sum(child)
+        if 1 <= take <= state[k]:
+            moved = state[:k] + (state[k] - take,) + state[k + 1 :]
+            if mode is MULTISET:
+                moved = tuple(sorted(moved, reverse=True))
+            if moved == child:
+                return k + 1, take
+    raise ValueError(f"{child} is not one move from {state}")
 
 
 def all_states(max_heaps, max_size):
@@ -194,6 +215,70 @@ def test_heap_take_equals_brute_force(mode):
 def test_heap_take_rejects_a_state_no_single_move_reaches(state, child, mode):
     with pytest.raises(ValueError):
         heap_take(state, child, mode)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=0, max_size=5), st.sampled_from([MULTISET, TUPLE]))
+@example([], TUPLE).via("no heaps")
+@example([0, 0, 0], MULTISET).via("all-zero root")
+@example([3, 3, 3, 3], MULTISET).via("equal heaps")
+@example([4, 0, 3, 0, 1, 4], MULTISET).via("zero heaps between")
+@example([4, 0, 3, 0, 1, 4], TUPLE).via("zero heaps between")
+def test_nth_child_and_child_count_equal_the_reference(root, mode):
+    # every state of the game and every index of its children; the count
+    # is the one `random_strategy` draws the index below
+    for state in reference_bfs(root, mode)[0]:
+        expected = reference_children(state, mode)
+        count = sum(state) if mode is TUPLE else sum(set(state))
+        assert count == len(expected), state
+        assert [nth_child(state, i, mode) for i in range(count)] == expected, state
+        for outside in (-1, count):
+            with pytest.raises(IndexError):
+                nth_child(state, outside, mode)
+
+
+@pytest.mark.parametrize("mode", [MULTISET, TUPLE])
+def test_random_strategy_draws_what_choice_of_the_reference_draws(mode):
+    states = [canonicalize(raw, mode) for raw in all_states(4, 4)]
+    for seed in range(5):
+        drawn, expected = random_strategy(random.Random(seed), mode), random.Random(seed)
+        for state in states:
+            if not is_terminal(state):
+                assert drawn(state) == expected.choice(reference_children(state, mode)), (seed, state)
+
+
+@pytest.mark.parametrize("mode", [MULTISET, TUPLE])
+@pytest.mark.parametrize("root", [(4, 4, 4, 4), (9, 7, 7, 3, 0, 1)])
+def test_seeded_random_game_equals_a_game_over_reference_children(root, mode):
+    def reference_player(rng):
+        return lambda state: rng.choice(reference_children(state, mode))
+
+    for seed in range(3):
+        game = play_game(random_strategy(random.Random(seed), mode), random_strategy(random.Random(seed + 100), mode),
+                         root, mode)
+        assert game == play_game(reference_player(random.Random(seed)), reference_player(random.Random(seed + 100)),
+                                 root, mode)
+
+
+@pytest.mark.parametrize("mode", [MULTISET, TUPLE])
+@pytest.mark.parametrize("root", [(3, 3, 3), (4, 2, 1, 0), (2, 2, 2, 2)])
+def test_heap_take_equals_the_reference_over_every_pair_of_states(root, mode):
+    """Every ordered pair of the game's states, legal move or not, and each
+    child as a list and with a heap more or less: the same (heap, take) or
+    the same ValueError as `reference_heap_take`."""
+
+    def outcome(take, state, child):
+        try:
+            return take(state, child, mode)
+        except ValueError as error:
+            return f"ValueError: {error}"
+
+    states = reference_bfs(root, mode)[0]
+    for state in states:
+        for child in states:
+            for candidate in (child, list(child), child + (0,), child[:-1]):
+                assert outcome(heap_take, state, candidate) == outcome(reference_heap_take, state, candidate), \
+                    (state, candidate)
 
 
 def test_moves_are_legal():
@@ -399,6 +484,22 @@ def test_edge_count_equals_edge_arrays(root, mode):
     assert graph.num_edges == len(reference_bfs(root, mode)[2])
     if mode is MULTISET:
         assert graph.num_edges == len(graph.edge_dst) == graph.edge_offsets[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 8), min_size=0, max_size=6), st.sampled_from([MULTISET, TUPLE]))
+@example([], MULTISET).via("no heaps")
+@example([0, 0, 0], MULTISET).via("all-zero root")
+@example([5, 5, 5], MULTISET).via("equal heaps")
+@example([4, 0, 3, 0, 1, 4], MULTISET).via("zero heaps between")
+def test_edge_count_equals_num_edges(root, mode):
+    assert edge_count(root, mode) == build_graph(root, mode).num_edges
+
+
+def test_edge_count_of_games_too_large_to_build():
+    assert edge_count((65536,), MULTISET) == 65536 * 65537 // 2
+    assert edge_count((1000, 1000), MULTISET) == 501_000_500
+    assert edge_count((20,) * 6, MULTISET) == 11_157_300
 
 
 @settings(max_examples=80, deadline=None)
