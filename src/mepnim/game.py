@@ -43,74 +43,86 @@ def children(state: GameState, mode: StateSpaceMode) -> list[GameState]:
     """Unique successor states of a canonical state, in deterministic order:
     tuple mode by (heap index, objects removed), multiset mode sorted
     lexicographically descending.  Empty for the terminal state."""
-    return list(_children(state, mode))
+    return [child for _, _, child in _moves(state, mode)]
 
 
-def _children(state: GameState, mode: StateSpaceMode):
-    """Iterate `children`, one child at a time.
+def _moves(state: GameState, mode: StateSpaceMode):
+    """Iterate the moves of `children`, one ``(heap, take, child)`` at a
+    time, with the 1-based heap and the objects taken.
 
     In multiset mode a child lowers one distinct positive size v, at its
-    last position j, to a remainder r < v.  The child agrees with the state
-    before j and holds less at j, so children of a smaller v (a later j)
-    are lexicographically larger, and two sizes never give the same child.
-    So the sizes are walked from the smallest, each with its remainders
-    descending; r goes into the tail after j at an index that only moves
-    right as r falls, and no set or sort is needed."""
+    last position j, to a remainder r < v, and its heap is the first one
+    holding v.  The child agrees with the state before j and holds less at
+    j, so children of a smaller v (a later j) are lexicographically
+    larger, and two sizes never give the same child.  So the sizes are
+    walked from the smallest, each with its remainders descending; r goes
+    into the tail after j at an index that only moves right as r falls,
+    and no set or sort is needed."""
     if mode is StateSpaceMode.TUPLE:
         for i, c in enumerate(state):
             if c:
                 pre, post = state[:i], state[i + 1 :]
                 for rem in range(c - 1, -1, -1):
-                    yield pre + (rem,) + post
+                    yield i + 1, c - rem, pre + (rem,) + post
         return
     j = len(state) - 1
     while j >= 0 and not state[j]:
         j -= 1
     while j >= 0:
         v, head, tail = state[j], state[:j], state[j + 1 :]
-        p = 0
+        heap, p = state.index(v) + 1, 0
         for r in range(v - 1, -1, -1):
             while p < len(tail) and tail[p] > r:
                 p += 1
-            yield head + tail[:p] + (r,) + tail[p:]
+            yield heap, v - r, head + tail[:p] + (r,) + tail[p:]
         while j >= 0 and state[j] == v:
             j -= 1
 
 
-def nth_child(state: GameState, index: int, mode: StateSpaceMode) -> GameState:
-    """``children(state, mode)[index]``, made alone.  A state has
-    ``sum(state)`` children in tuple mode and ``sum(set(state))`` in
-    multiset mode, one per remainder of each (distinct) positive size;
-    an index outside them raises IndexError.  Tuple mode walks the heaps
-    in order, multiset mode the distinct sizes smallest first, each with
-    its remainders descending, as `_children` does."""
+def nth_move(state: GameState, index: int, mode: StateSpaceMode) -> tuple[int, int]:
+    """The ``(heap, take)`` of ``children(state, mode)[index]``, found
+    without making any child.  A state has ``sum(state)`` children in
+    tuple mode and ``sum(set(state))`` in multiset mode, one per remainder
+    of each (distinct) positive size; an index outside them raises
+    IndexError.  Tuple mode walks the heaps in order, multiset mode the
+    distinct sizes smallest first, each with its takes ascending, as
+    `_moves` does."""
     if index < 0:
-        raise IndexError("child index out of range")
+        raise IndexError("move index out of range")
     if mode is StateSpaceMode.TUPLE:
         for i, c in enumerate(state):
             if index < c:
-                return state[:i] + (c - 1 - index,) + state[i + 1 :]
+                return i + 1, index + 1
             index -= c
-        raise IndexError("child index out of range")
+        raise IndexError("move index out of range")
     j = len(state) - 1
     while j >= 0:
-        v = state[j]  # at its last position j; a size of 0 has no children
+        v = state[j]  # at its last position j; a size of 0 has no moves
         if index < v:
-            return _lowered(state, j, v - 1 - index)
+            return state.index(v) + 1, index + 1
         index -= v
         while j >= 0 and state[j] == v:
             j -= 1
-    raise IndexError("child index out of range")
+    raise IndexError("move index out of range")
 
 
-def _lowered(state: GameState, j: int, r: int) -> GameState:
-    """A multiset state with its size at position j lowered to r, in
-    canonical order: r goes into the tail after j past the sizes above it."""
-    tail = state[j + 1 :]
-    p = 0
-    while p < len(tail) and tail[p] > r:
+def apply_move(state: GameState, heap: int, take: int, mode: StateSpaceMode) -> GameState:
+    """The canonical state after taking `take` objects from the 1-based
+    heap `heap` of a canonical state.  Raises ValueError, with the text the
+    human player is shown, for a heap outside ``1..len(state)`` or a take
+    outside ``1..state[heap - 1]``."""
+    if not 1 <= heap <= len(state):
+        raise ValueError(f"heap must be 1..{len(state)}")
+    if not 1 <= take <= state[heap - 1]:
+        raise ValueError(f"can take 1..{state[heap - 1]} from heap {heap}")
+    rem = state[heap - 1] - take
+    if mode is StateSpaceMode.TUPLE:
+        return state[: heap - 1] + (rem,) + state[heap:]
+    # the heap out, and its remainder in after the sizes above it
+    p = heap
+    while p < len(state) and state[p] > rem:
         p += 1
-    return state[:j] + tail[:p] + (r,) + tail[p:]
+    return state[: heap - 1] + state[heap:p] + (rem,) + state[p:]
 
 
 @dataclass(frozen=True)
@@ -123,31 +135,11 @@ class Move:
     child: GameState
 
 
-def heap_take(state: GameState, child, mode: StateSpaceMode) -> tuple[int, int]:
-    """The first (heap, take) pair, in (heap, take) order, that moves from
-    `state` to `child`: in tuple mode the one heap that differs, in
-    multiset mode the first heap holding the size that shrank, which is the
-    size at the first position where the two sorted tuples differ.  Raises
-    ValueError when no single move reaches `child`."""
-    for k, (v, c) in enumerate(zip(state, child)):
-        if v != c:
-            if mode is StateSpaceMode.TUPLE:
-                if 0 <= c < v and child[k + 1 :] == state[k + 1 :]:
-                    return k + 1, v - c
-            else:
-                # a move lowers v, at its last position (the first that
-                # differs), to r, and the child holds the tail after it and r
-                r = sum(child[k:]) - sum(state[k + 1 :])
-                if 0 <= r < v and child == _lowered(state, k, r):
-                    return state.index(v) + 1, v - r
-            break
-    raise ValueError(f"{child} is not one move from {state}")
-
-
 def moves(state: GameState, mode: StateSpaceMode) -> tuple[Move, ...]:
     """Legal moves with their resulting states, one per child of `children`
-    and in its order, each with its `heap_take` pair."""
-    return tuple(Move(*heap_take(state, child, mode), child) for child in children(state, mode))
+    and in its order; in multiset mode a move takes from the first heap
+    holding the size it lowers."""
+    return tuple(Move(*move) for move in _moves(state, mode))
 
 
 def state_count(root, mode: StateSpaceMode) -> int:
@@ -182,30 +174,15 @@ def state_count(root, mode: StateSpaceMode) -> int:
 def edge_count(root, mode: StateSpaceMode) -> int:
     """Number of moves between the states reachable from the root, without
     building anything: each state has one move per remainder of each of
-    its distinct positive sizes (`nth_child`'s count).  Tuple mode: heap i
+    its distinct positive sizes (`nth_move`'s count).  Tuple mode: heap i
     holds each value v <= h_i in prod(h + 1) / (h_i + 1) states, so the
-    box has prod(h + 1) * h_i / 2 moves on heap i.  Multiset mode: a DP
-    over the columns of the sorted root from the last, like
-    `_rank_offsets`, counts per value v of column t the valid tails from
-    t on that hold v there and the sum of their distinct sizes, each size
-    counted at its last column: v is last when the next column holds less.
-    Its cost grows with the sum of the heaps; the counts are int64."""
+    box has prod(h + 1) * h_i / 2 moves on heap i.  Multiset mode: the
+    column DP of `_rank_offsets`.  Its cost grows with the sum of the
+    heaps; the counts are int64."""
     start = canonicalize(root, mode)
     if mode is StateSpaceMode.TUPLE:
         return math.prod(h + 1 for h in start) * sum(start) // 2
-    # ways[v], sizes[v]: the tails from the column after t holding v there,
-    # and the sum of their counted sizes; past the last column only the
-    # empty tail, as if it held 0
-    ways, sizes, below = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), 0
-    for t in reversed(range(len(start))):
-        value = np.arange(start[t] + 1)
-        at_most = np.minimum(value, below)  # the most the next column may hold
-        tails = np.cumsum(ways)
-        # the tails whose next column holds less than v, which count v
-        lower = np.concatenate(([0], tails))[np.minimum(value, below + 1)]
-        ways, sizes = tails[at_most], np.cumsum(sizes)[at_most] + value * lower
-        below = start[t]
-    return int(sizes.sum())
+    return _rank_offsets(start)[2]
 
 
 class GameGraph:
@@ -387,8 +364,9 @@ def bfs_order(graph: GameGraph) -> np.ndarray:
     return np.concatenate(order)
 
 
-def _rank_offsets(start: GameState) -> tuple[list[np.ndarray], int]:
-    """The rank table of a sorted multiset root and its state count.
+def _rank_offsets(start: GameState) -> tuple[list[np.ndarray], int, int]:
+    """The rank table of a sorted multiset root, its state count and its
+    edge count.
 
     ``offset[t][v]``, for v up to ``start[t]``, is the number of valid
     states that agree with a state holding v in column t before that column
@@ -398,15 +376,24 @@ def _rank_offsets(start: GameState) -> tuple[list[np.ndarray], int]:
     increases, since each value has at least one valid tail (all zeros),
     so the one table also unranks: column t of the state of rank r is the
     last v with ``offset[t][v]`` at most what is left of r once the
-    entries of the columns before t are taken off."""
+    entries of the columns before t are taken off.  A state has one edge
+    per remainder of each distinct positive size, each size counted at
+    its last column: v is last when the next column holds less."""
     # offset[t][v] = sum of ways[u] for u < v, where ways[u] counts the
-    # valid tails from column t on that hold u in column t
+    # valid tails from column t on that hold u in column t, and sizes[u]
+    # the sum of their counted sizes; past the last column only the empty
+    # tail, as if it held 0
     offset = [None] * len(start)
-    ways, below = np.ones(1, dtype=np.int64), 0
+    ways, sizes, below = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), 0
     for t in reversed(range(len(start))):
-        ways = np.cumsum(ways)[np.minimum(np.arange(start[t] + 1), below)]
+        value = np.arange(start[t] + 1)
+        at_most = np.minimum(value, below)  # the most the next column may hold
+        tails = np.cumsum(ways)
+        # the tails whose next column holds less than v, which count v
+        lower = np.concatenate(([0], tails))[np.minimum(value, below + 1)]
+        ways, sizes = tails[at_most], np.cumsum(sizes)[at_most] + value * lower
         offset[t], below = np.cumsum(ways) - ways, start[t]
-    return offset, int(ways.sum())
+    return offset, int(ways.sum()), int(sizes.sum())
 
 
 def _multiset_graph(start: GameState) -> GameGraph:
@@ -421,7 +408,7 @@ def _multiset_graph(start: GameState) -> GameGraph:
     the edge's target."""
     k = len(start)
     value_type = np.min_scalar_type(max(start, default=0))
-    offset, size = _rank_offsets(start)
+    offset, size, _ = _rank_offsets(start)
 
     # the states in rank order: each rank unranked one column at a time
     ascending = np.empty((size, k), dtype=value_type)  # each state's heaps smallest first

@@ -4,7 +4,9 @@ A classifier is an is-P predicate: it maps a state to True when it labels
 the state P.  The induced strategy moves to the first child it labels P in
 the deterministic child order (a winning move whenever one exists under a
 correct labeling), falling back to the first child from hopeless
-positions.
+positions.  A strategy returns its move as the 1-based ``(heap, take)``
+pair that transcripts print and the human types, and `game.apply_move`
+makes the next state for every player.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from typing import Callable
 from .expr import Chromosome, EvalError, evaluate
 # `play` no longer calls `moves`, but perfbench/tracer.py wraps `play.moves`
 # by name, so the name stays importable from this module.
-from .game import GameGraph, GameState, StateSpaceMode, _children, canonicalize, heap_take, is_terminal, moves, nth_child
+from .game import GameGraph, GameState, StateSpaceMode, _moves, apply_move, canonicalize, is_terminal, moves, nth_move
 from .oracle import retrograde_p_mask
 
 Classifier = Callable[[GameState], bool]
-Strategy = Callable[[GameState], GameState]
+# a state -> the (heap, take) to play from it
+Strategy = Callable[[GameState], tuple[int, int]]
 
 
 def formula_classifier(chrom: Chromosome, n_heaps: int) -> Classifier:
@@ -45,18 +48,18 @@ def oracle_classifier(graph: GameGraph) -> Classifier:
     return lambda state: bool(mask[code(state)])
 
 
-def best_move(classifier: Classifier, state: GameState, mode: StateSpaceMode) -> GameState:
-    """First child the classifier labels P, else the first child.  The
-    children are generated one at a time, so those after the first P child
-    are never made or classified."""
+def best_move(classifier: Classifier, state: GameState, mode: StateSpaceMode) -> tuple[int, int]:
+    """The ``(heap, take)`` of the first child the classifier labels P,
+    else of the first child.  The children are generated one at a time, so
+    those after the first P child are never made or classified."""
     if is_terminal(state):
         raise ValueError("no moves from the terminal state")
     first = None
-    for child in _children(state, mode):
+    for heap, take, child in _moves(state, mode):
         if classifier(child):
-            return child
+            return heap, take
         if first is None:
-            first = child
+            first = heap, take
     return first
 
 
@@ -65,12 +68,12 @@ def classifier_strategy(classifier: Classifier, mode: StateSpaceMode) -> Strateg
 
 
 def random_strategy(rng: random.Random, mode: StateSpaceMode) -> Strategy:
-    """A uniformly drawn child, the one ``rng.choice(children(state,
-    mode))`` draws: it draws the index over the `nth_child` count the same
-    way and makes only that child."""
+    """The move to a uniformly drawn child, the one ``rng.choice(children(
+    state, mode))`` draws: it draws the index over the `nth_move` count the
+    same way and makes no child."""
     if mode is StateSpaceMode.TUPLE:
-        return lambda state: nth_child(state, rng.choice(range(sum(state))), mode)
-    return lambda state: nth_child(state, rng.choice(range(sum(set(state)))), mode)
+        return lambda state: nth_move(state, rng.choice(range(sum(state))), mode)
+    return lambda state: nth_move(state, rng.choice(range(sum(set(state)))), mode)
 
 
 @dataclass(frozen=True)
@@ -101,13 +104,12 @@ def play_game(first: Strategy, second: Strategy, start, mode: StateSpaceMode) ->
     transcript: list[MoveRecord] = []
     player = 1
     while not is_terminal(state):
-        chosen = (first if player == 1 else second)(state)
+        heap, take = (first if player == 1 else second)(state)
         try:
-            heap, take = heap_take(state, chosen, mode)
-        except ValueError:
-            raise ValueError(f"strategy for player {player} returned illegal state {chosen}") from None
-        transcript.append(MoveRecord(player, heap, take, chosen))
-        state = chosen
+            state = apply_move(state, heap, take, mode)
+        except ValueError as exc:
+            raise ValueError(f"strategy for player {player} returned illegal move heap {heap} take {take}: {exc}") from None
+        transcript.append(MoveRecord(player, heap, take, state))
         player = 3 - player
     # the last mover won; with a terminal start nobody moved and the
     # previous player (not the first mover) already holds the win
@@ -133,44 +135,35 @@ def interactive_session(classifier: Classifier, start, mode: StateSpaceMode, std
         say("nothing to play: the game is already over")
         return
     while True:
-        move = _read_human_move(state, stdin, stdout)
+        move = _read_human_move(state, mode, stdin, stdout)
         if move is None:
             say("session aborted")
             return
-        heap, take = move
-        state = canonicalize(state[: heap - 1] + (state[heap - 1] - take,) + state[heap:], mode)
-        say(f"move: heap {heap} take {take} -> ({', '.join(str(h) for h in state)})")
+        state = move.state
+        say(str(move))
         if is_terminal(state):
             say("you take the last object - you win")
             return
-        chosen = best_move(classifier, state, mode)
-        heap, take = heap_take(state, chosen, mode)
-        state = chosen
+        heap, take = best_move(classifier, state, mode)
+        state = apply_move(state, heap, take, mode)
         say(str(MoveRecord(2, heap, take, state)))
         if is_terminal(state):
             say("machine takes the last object - machine wins")
             return
 
 
-def _read_human_move(state: GameState, stdin, stdout) -> tuple[int, int] | None:
+def _read_human_move(state: GameState, mode: StateSpaceMode, stdin, stdout) -> MoveRecord | None:
     while True:
         print(f"your move (heap take) from ({', '.join(str(h) for h in state)}): ", end="", file=stdout, flush=True)
         line = stdin.readline()
         if not line:
             return None
-        parts = line.split()
-        if len(parts) != 2:
+        try:
+            heap, take = map(int, line.split())
+        except ValueError:  # not two integers
             print("enter two numbers: heap index and objects to take", file=stdout)
             continue
         try:
-            heap, take = int(parts[0]), int(parts[1])
-        except ValueError:
-            print("enter two numbers: heap index and objects to take", file=stdout)
-            continue
-        if not 1 <= heap <= len(state):
-            print(f"heap must be 1..{len(state)}", file=stdout)
-            continue
-        if not 1 <= take <= state[heap - 1]:
-            print(f"can take 1..{state[heap - 1]} from heap {heap}", file=stdout)
-            continue
-        return heap, take
+            return MoveRecord(1, heap, take, apply_move(state, heap, take, mode))
+        except ValueError as exc:
+            print(exc, file=stdout)

@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -15,12 +15,12 @@ from mepnim.game import (
     bfs_order,
     build_graph,
     canonicalize,
+    apply_move,
     children,
-    heap_take,
     edge_count,
     is_terminal,
     moves,
-    nth_child,
+    nth_move,
     state_count,
 )
 from mepnim.play import play_game, random_strategy
@@ -60,22 +60,14 @@ def reference_children(state, mode):
     return sorted(unique, reverse=True)
 
 
-def reference_heap_take(state, child, mode):
-    """`heap_take` as it was before it stopped rebuilding the move, kept as
-    the slow reference: take is the difference of the two totals, and the
-    moved state, re-sorted in multiset mode, must equal the child."""
-    k = next((i for i, (a, b) in enumerate(zip(state, child)) if a != b), None)
-    if k is not None:
-        if mode is MULTISET:
-            k = state.index(state[k])
-        take = sum(state) - sum(child)
-        if 1 <= take <= state[k]:
-            moved = state[:k] + (state[k] - take,) + state[k + 1 :]
-            if mode is MULTISET:
-                moved = tuple(sorted(moved, reverse=True))
-            if moved == child:
-                return k + 1, take
-    raise ValueError(f"{child} is not one move from {state}")
+def first_pairs(state, mode):
+    """Each child of `state` -> the first (heap, take) pair, in (heap,
+    take) order, that reaches it."""
+    first = {}
+    for i, c in enumerate(state):
+        for take in range(1, c + 1):
+            first.setdefault(canonicalize(state[:i] + (c - take,) + state[i + 1 :], mode), (i + 1, take))
+    return first
 
 
 def all_states(max_heaps, max_size):
@@ -165,56 +157,29 @@ def test_move_is_first_heap_take_pair_reaching_its_child():
     for _ in range(300):
         for mode in (MULTISET, TUPLE):
             state = random_state(rng, mode)
-            first = {}
-            for i, c in enumerate(state):
-                for take in range(1, c + 1):
-                    child = canonicalize(state[:i] + (c - take,) + state[i + 1 :], mode)
-                    first.setdefault(child, (i + 1, take))
+            first = first_pairs(state, mode)
             for m in moves(state, mode):
                 assert (m.heap, m.take) == first[m.child], (mode, state, m)
 
 
 @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
-def test_heap_take_equals_brute_force(mode):
-    """Over every state of up to 4 heaps of at most 5: each child gets the
-    first (heap, take) pair reaching it, and every other candidate (the
-    state itself, a take of 0; two heaps lowered, unless one move also
-    reaches that; a child as a list; a child with a heap more or less)
-    raises ValueError."""
+def test_apply_move_equals_canonicalize_of_the_lowered_state(mode):
+    """Over every state of up to 4 heaps of at most 5: every in-range
+    (heap, take) gives the canonicalized state with that heap lowered, and
+    heap 0, heap len + 1, take 0 and take v + 1 raise ValueError with the
+    text the human session prints."""
     for raw in all_states(4, 5):
         state = canonicalize(raw, mode)
-        first = {}
-        for i, c in enumerate(state):
-            for take in range(1, c + 1):
-                first.setdefault(canonicalize(state[:i] + (c - take,) + state[i + 1 :], mode), (i + 1, take))
-        candidates = [*first, state]
-        for i, j in combinations(range(len(state)), 2):
-            if state[i] and state[j]:
-                lowered = list(state)
-                lowered[i] -= 1
-                lowered[j] -= 1
-                candidates.append(canonicalize(lowered, mode))
-        for child in first:
-            candidates += [list(child), child + (0,), child[:-1]]
-        for candidate in candidates:
-            if isinstance(candidate, tuple) and candidate in first:
-                assert heap_take(state, candidate, mode) == first[candidate], (state, candidate)
-            else:
-                with pytest.raises(ValueError):
-                    heap_take(state, candidate, mode)
-
-
-@pytest.mark.parametrize("state,child,mode", [
-    ((2, 1), (2, 1), TUPLE),  # no move
-    ((2, 1), (0, 0), TUPLE),  # two heaps changed
-    ((2, 1), (1, 2), TUPLE),  # a heap grew
-    ((2, 1), (2,), TUPLE),  # a heap vanished
-    ((3, 1), (2, 2), MULTISET),  # total unchanged
-    ((3, 3), (3, 2, 0), MULTISET),
-])
-def test_heap_take_rejects_a_state_no_single_move_reaches(state, child, mode):
-    with pytest.raises(ValueError):
-        heap_take(state, child, mode)
+        for heap in (0, len(state) + 1):
+            with pytest.raises(ValueError, match=rf"^heap must be 1\.\.{len(state)}$"):
+                apply_move(state, heap, 1, mode)
+        for i, v in enumerate(state):
+            for take in range(1, v + 1):
+                lowered = canonicalize(state[:i] + (v - take,) + state[i + 1 :], mode)
+                assert apply_move(state, i + 1, take, mode) == lowered, (state, i + 1, take)
+            for take in (0, v + 1):
+                with pytest.raises(ValueError, match=rf"^can take 1\.\.{v} from heap {i + 1}$"):
+                    apply_move(state, i + 1, take, mode)
 
 
 @settings(max_examples=80, deadline=None)
@@ -225,16 +190,21 @@ def test_heap_take_rejects_a_state_no_single_move_reaches(state, child, mode):
 @example([4, 0, 3, 0, 1, 4], MULTISET).via("zero heaps between")
 @example([4, 0, 3, 0, 1, 4], TUPLE).via("zero heaps between")
 def test_nth_child_and_child_count_equal_the_reference(root, mode):
-    # every state of the game and every index of its children; the count
-    # is the one `random_strategy` draws the index below
+    # every state of the game and every index of its children: `nth_move`
+    # gives the first pair reaching the child at that index, and applying
+    # it makes that child; the count is the one `random_strategy` draws the
+    # index below
     for state in reference_bfs(root, mode)[0]:
         expected = reference_children(state, mode)
         count = sum(state) if mode is TUPLE else sum(set(state))
         assert count == len(expected), state
-        assert [nth_child(state, i, mode) for i in range(count)] == expected, state
+        pairs = [nth_move(state, i, mode) for i in range(count)]
+        first = first_pairs(state, mode)
+        assert pairs == [first[child] for child in expected], state
+        assert [apply_move(state, heap, take, mode) for heap, take in pairs] == expected, state
         for outside in (-1, count):
             with pytest.raises(IndexError):
-                nth_child(state, outside, mode)
+                nth_move(state, outside, mode)
 
 
 @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
@@ -244,41 +214,21 @@ def test_random_strategy_draws_what_choice_of_the_reference_draws(mode):
         drawn, expected = random_strategy(random.Random(seed), mode), random.Random(seed)
         for state in states:
             if not is_terminal(state):
-                assert drawn(state) == expected.choice(reference_children(state, mode)), (seed, state)
+                child = expected.choice(reference_children(state, mode))
+                assert drawn(state) == first_pairs(state, mode)[child], (seed, state)
 
 
 @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
 @pytest.mark.parametrize("root", [(4, 4, 4, 4), (9, 7, 7, 3, 0, 1)])
 def test_seeded_random_game_equals_a_game_over_reference_children(root, mode):
     def reference_player(rng):
-        return lambda state: rng.choice(reference_children(state, mode))
+        return lambda state: first_pairs(state, mode)[rng.choice(reference_children(state, mode))]
 
     for seed in range(3):
         game = play_game(random_strategy(random.Random(seed), mode), random_strategy(random.Random(seed + 100), mode),
                          root, mode)
         assert game == play_game(reference_player(random.Random(seed)), reference_player(random.Random(seed + 100)),
                                  root, mode)
-
-
-@pytest.mark.parametrize("mode", [MULTISET, TUPLE])
-@pytest.mark.parametrize("root", [(3, 3, 3), (4, 2, 1, 0), (2, 2, 2, 2)])
-def test_heap_take_equals_the_reference_over_every_pair_of_states(root, mode):
-    """Every ordered pair of the game's states, legal move or not, and each
-    child as a list and with a heap more or less: the same (heap, take) or
-    the same ValueError as `reference_heap_take`."""
-
-    def outcome(take, state, child):
-        try:
-            return take(state, child, mode)
-        except ValueError as error:
-            return f"ValueError: {error}"
-
-    states = reference_bfs(root, mode)[0]
-    for state in states:
-        for child in states:
-            for candidate in (child, list(child), child + (0,), child[:-1]):
-                assert outcome(heap_take, state, candidate) == outcome(reference_heap_take, state, candidate), \
-                    (state, candidate)
 
 
 def test_moves_are_legal():

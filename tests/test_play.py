@@ -6,7 +6,7 @@ import pytest
 
 from conftest import xor_chain
 from mepnim.fitness import Label
-from mepnim.game import StateSpaceMode, build_graph, canonicalize, children
+from mepnim.game import StateSpaceMode, apply_move, build_graph, canonicalize, children
 from mepnim.oracle import bouton_label
 from mepnim.play import (
     MoveRecord,
@@ -30,17 +30,20 @@ def bouton_is_p(state):
 
 class TestBestMove:
     def test_moves_to_the_xor_zero_child(self):
+        # heap 1 take 1, reaching (1, 1)
         assert best_move(bouton_is_p, (2, 1), MULTISET) == (1, 1)
         assert best_move(bouton_is_p, (2, 1), TUPLE) == (1, 1)
 
     def test_hopeless_position_falls_back_to_first_child(self):
-        # from (1,1) every child is an N-position; first multiset child wins
-        assert best_move(bouton_is_p, (1, 1), MULTISET) == (1, 0)
+        # from (1,1) every child is an N-position; the first multiset
+        # child, (1, 0), is heap 1 take 1
+        assert best_move(bouton_is_p, (1, 1), MULTISET) == (1, 1)
 
     def test_hopeless_positions_with_several_children_fall_back_to_the_first(self):
         for mode in (MULTISET, TUPLE):
             for state in [(3, 2), (2, 2, 1), (4, 1, 1, 0)]:
-                assert best_move(lambda _: False, state, mode) == children(state, mode)[0]
+                move = best_move(lambda _: False, state, mode)
+                assert apply_move(state, *move, mode) == children(state, mode)[0]
 
     @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
     def test_classifies_the_children_up_to_the_first_p_one(self, mode):
@@ -56,11 +59,11 @@ class TestBestMove:
                 return bouton_is_p(child)
 
             expected = next((c for c in legal if bouton_label(c) is Label.P), legal[0])
-            assert best_move(classify, state, mode) == expected
+            assert apply_move(state, *best_move(classify, state, mode), mode) == expected
             assert seen == (legal[: legal.index(expected) + 1] if bouton_label(expected) is Label.P else legal)
 
     def test_forced_move(self):
-        assert best_move(bouton_is_p, (1,), MULTISET) == (0,)
+        assert best_move(bouton_is_p, (1,), MULTISET) == (1, 1)
 
     def test_terminal_rejected(self):
         with pytest.raises(ValueError):
@@ -113,7 +116,7 @@ class TestPlayGame:
                 assert play_game(formula, opponent, root, MULTISET).winner == 1
 
     def test_illegal_strategy_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^strategy for player 1 returned illegal move heap 9 take 9: heap must be 1\.\.2$"):
             play_game(lambda s: (9, 9), lambda s: (9, 9), (2, 1), MULTISET)
 
     def test_terminal_start_means_previous_player_already_won(self):
