@@ -12,10 +12,10 @@ from conftest import reference_bfs, reference_graph
 from mepnim.expr import Chromosome, Gene, evaluate_many
 from mepnim.game import (
     StateSpaceMode,
+    apply_move,
     bfs_order,
     build_graph,
     canonicalize,
-    apply_move,
     children,
     edge_count,
     is_terminal,

@@ -149,6 +149,11 @@ class TestInteractiveSession:
         out = self.run_session("abc\n1 2\n", (2, 2))
         assert "enter two numbers" in out
 
+    def test_multiset_human_move_is_reordered(self):
+        # taking 2 from heap 1 of (3, 2) leaves (1, 2), stored as (2, 1)
+        out = self.run_session("1 2\n", (3, 2))
+        assert "move: heap 1 take 2 -> (2, 1)" in out
+
     def test_machine_punishes_a_blunder(self):
         # human breaks the (2,2) symmetry; machine mirrors and wins
         out = self.run_session("1 2\n1 2\n", (2, 2))
