@@ -189,7 +189,9 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 def _resolve(args: argparse.Namespace, config: dict[str, str]) -> None:
     """Set every setting of the chosen subcommand on `args`, cast and
-    validated: the flag if given, else the config value, else the default."""
+    validated: the flag if given, else the config value, else the default.
+    A formula is then checked against the heap count, so one that reads a
+    heap the game lacks is refused before the game is counted or built."""
     missing = []
     for s in SETTINGS:
         if args.command not in s.defaults:
@@ -209,6 +211,11 @@ def _resolve(args: argparse.Namespace, config: dict[str, str]) -> None:
         setattr(args, s.dest, value)
     if missing:
         raise UsageError(f"{args.command} requires {' and '.join(missing)}")
+    formula = getattr(args, "formula_file", None)
+    if formula is not None and max_heap_ref(formula) >= len(args.heaps):
+        raise UsageError(
+            f"formula references heap a{max_heap_ref(formula) + 1} but the game has {len(args.heaps)} heaps"
+        )
 
 
 def _echo(args: argparse.Namespace) -> str:
@@ -331,11 +338,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_fitness(args) -> int:
     """violation count of a formula on a game"""
-    graph = _build(args, args.heaps)
-    try:
-        total, breakdown = graph_fitness(args.formula_file, graph)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    total, breakdown = graph_fitness(args.formula_file, _build(args, args.heaps))
     if breakdown is None:
         print("fitness: invalid (division or modulo by zero on some state)")
         return EXIT_OK
@@ -357,10 +360,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     """check a formula against the oracle"""
     graph = _build(args, args.heaps)
-    try:
-        result = verify_formula(args.formula_file, graph)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = verify_formula(args.formula_file, graph)
     if result.invalid:
         print("formula is invalid (division or modulo by zero on some state)")
         return EXIT_VERIFY_FAILED
@@ -405,14 +405,10 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_play(args) -> int:
     """play games with a formula-driven strategy"""
-    chrom, mode = args.formula_file, args.state_space
+    mode = args.state_space
     start = canonicalize(args.heaps, mode)
-    if max_heap_ref(chrom) >= len(start):
-        raise UsageError(
-            f"formula references heap a{max_heap_ref(chrom) + 1} but the game has {len(start)} heaps"
-        )
     _check_size(args, start)  # the formula walks the children of each state it meets
-    classifier = formula_classifier(chrom, len(start))
+    classifier = formula_classifier(args.formula_file, len(start))
     try:
         if args.human:
             interactive_session(classifier, start, mode)

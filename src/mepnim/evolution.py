@@ -32,6 +32,18 @@ class EvolutionConfig:
     seed: int = 0
     mode: StateSpaceMode = StateSpaceMode.MULTISET
 
+    def __post_init__(self):
+        if self.population_size < 4:
+            raise ValueError("population_size must be >= 4")
+        if self.chromosome_length < 1:
+            raise ValueError("chromosome_length must be >= 1")
+        if self.generations < 1:
+            raise ValueError("generations must be >= 1")
+        if not self.heaps:
+            raise ValueError("heaps must not be empty")
+        if any(h < 0 for h in self.heaps):
+            raise ValueError("heap sizes must be non-negative")
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -51,20 +63,6 @@ class RunResult:
     best_fitness_history: tuple[int | float, ...]
 
 
-def validate_config(config: EvolutionConfig) -> None:
-    """Reject impossible configurations before any search happens."""
-    if config.population_size < 4:
-        raise ValueError("population_size must be >= 4")
-    if config.chromosome_length < 1:
-        raise ValueError("chromosome_length must be >= 1")
-    if config.generations < 1:
-        raise ValueError("generations must be >= 1")
-    if not config.heaps:
-        raise ValueError("heaps must not be empty")
-    if any(h < 0 for h in config.heaps):
-        raise ValueError("heap sizes must be non-negative")
-
-
 def tournament_select(fitnesses, rng: random.Random) -> int:
     """Binary tournament: draw two distinct indices uniformly, return the
     one with lower fitness, ties broken uniformly at random."""
@@ -78,7 +76,6 @@ def tournament_select(fitnesses, rng: random.Random) -> int:
 
 def evolve(config: EvolutionConfig) -> RunResult:
     """Run one seeded steady-state search; deterministic given the config."""
-    validate_config(config)
     root = canonicalize(config.heaps, config.mode)
     graph = build_graph(root, config.mode)
     n_heaps = len(root)

@@ -52,11 +52,11 @@ def derive_seed(master_seed: int, parameter: str, value: int, run_index: int) ->
 
 def run_cell(spec: SweepSpec, value: int, master_seed: int) -> SweepRow:
     """All runs for one parameter value, aggregated."""
-    config = replace(spec.base, **{spec.parameter: value})
     successes = 0
     generations: list[int] = []
     best_fits: list[float] = []
     try:
+        config = replace(spec.base, **{spec.parameter: value})
         for run_index in range(spec.runs_per_value):
             seed = derive_seed(master_seed, spec.parameter, value, run_index)
             result = evolve(replace(config, seed=seed))

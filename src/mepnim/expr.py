@@ -225,7 +225,8 @@ def _trunc_div(a: int, b: int) -> int:
 def _trunc_mod(a: int, b: int) -> int:
     if b == 0:
         raise EvalError("modulo by zero")
-    return _wrap(a - _wrap(_trunc_div(a, b) * b))
+    r = abs(a) % abs(b)  # below |b|, so it needs no wrap
+    return -r if a < 0 else r
 
 
 # `_wrap` inlined, adding -2^63 where `_wrap` adds 2^63 (the same modulo

@@ -408,7 +408,7 @@ def _multiset_graph(start: GameState) -> GameGraph:
     the edge's target."""
     k = len(start)
     value_type = np.min_scalar_type(max(start, default=0))
-    offset, size, _ = _rank_offsets(start)
+    offset, size, n_edges = _rank_offsets(start)
 
     # the states in rank order: each rank unranked one column at a time
     ascending = np.empty((size, k), dtype=value_type)  # each state's heaps smallest first
@@ -424,7 +424,6 @@ def _multiset_graph(start: GameState) -> GameGraph:
     first[:, 1:] = ascending[:, 1:] != ascending[:, :-1]
     group_size = np.where(first, ascending, 0).ravel()
     del first
-    n_edges = int(group_size.sum(dtype=np.int64))
     # every rank is below the node count, at most one more than the edge
     # count, so the per-edge temporaries fit the type of the latter
     narrow = np.int32 if n_edges < 2**31 else np.int64

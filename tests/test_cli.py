@@ -442,6 +442,26 @@ class TestBadSettings:
         assert time.perf_counter() - t0 < 0.5
         self.assert_usage_error(code, capsys, "at least 4000001 multiset states", "--max-states 1000000")
 
+    @pytest.mark.parametrize("command", ["fitness", "verify", "play"])
+    @pytest.mark.parametrize("heaps,extra", [
+        ("2,2,2,2,2,2", []),
+        ("20,20,20,20,20,20", []),  # 230,230 multiset states and 11.2M edges
+        ("20,20,20,20,20,20", ["--max-states", "1"]),
+    ])
+    def test_formula_reading_a_missing_heap_refused_before_the_game_is_counted(
+        self, command, heaps, extra, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the game was counted or built")
+
+        monkeypatch.setattr("mepnim.cli.state_count", refuse)
+        monkeypatch.setattr("mepnim.cli.build_graph", refuse)
+        formula = tmp_path / "a7.mep"
+        formula.write_text("1: a7\n")
+        code = main([command, "--formula-file", str(formula), "--heaps", heaps, *extra])
+        err = self.assert_usage_error(code, capsys)
+        assert err == "error: formula references heap a7 but the game has 6 heaps\n"
+
     def test_max_states_is_the_largest_game_allowed(self, tmp_path, capsys):
         # (2,1) tuple has 6 states
         assert main(["oracle", "--heaps", "2,1", "--state-space", "tuple", "--max-states", "6"]) == 0

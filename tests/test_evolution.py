@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from mepnim.evolution import EvolutionConfig, evolve, tournament_select, validate_config
+from mepnim.evolution import EvolutionConfig, evolve, tournament_select
 from mepnim.fitness import INVALID, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph
 from mepnim.genetics import OperatorConfig
@@ -25,19 +25,37 @@ class TestTournament:
 
 
 class TestValidateConfig:
+    """EvolutionConfig refuses an impossible configuration when it is made."""
+
     def test_population_floor(self):
         with pytest.raises(ValueError):
-            validate_config(EvolutionConfig(heaps=(2, 2), population_size=3))
+            EvolutionConfig(heaps=(2, 2), population_size=3)
 
     def test_empty_heaps(self):
         with pytest.raises(ValueError):
-            validate_config(EvolutionConfig(heaps=()))
+            EvolutionConfig(heaps=())
 
     def test_bad_budget_and_length(self):
         with pytest.raises(ValueError):
-            validate_config(EvolutionConfig(heaps=(2, 2), generations=0))
+            EvolutionConfig(heaps=(2, 2), generations=0)
         with pytest.raises(ValueError):
-            validate_config(EvolutionConfig(heaps=(2, 2), chromosome_length=0))
+            EvolutionConfig(heaps=(2, 2), chromosome_length=0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("population_size", 3, "population_size must be >= 4"),
+        ("chromosome_length", 0, "chromosome_length must be >= 1"),
+        ("generations", 0, "generations must be >= 1"),
+        ("heaps", (), "heaps must not be empty"),
+        ("heaps", (2, -1), "heap sizes must be non-negative"),
+    ])
+    def test_each_bad_field_refused_when_made_or_replaced(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EvolutionConfig(**{"heaps": (2, 2), field: value})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(EvolutionConfig(heaps=(2, 2)), **{field: value})
+
+    def test_smallest_valid_config_is_made(self):
+        EvolutionConfig(heaps=(0,), population_size=4, chromosome_length=1, generations=1)
 
 
 class TestEvolve:
