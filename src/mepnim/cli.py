@@ -5,13 +5,15 @@ config-file keys, the help defaults and the echoes.  Before a subcommand
 runs, each of its settings resolves flag > config file > default and is
 cast and validated; the resolved configuration is echoed into every output
 artifact so a run can be reproduced from its files alone.  Exit codes: 0
-success, 2 usage or input error (one `error:` line), 3 evolution budget
+success, 1 standard output closed before the output ended (as by
+``| head``), 2 usage or input error (one `error:` line), 3 evolution budget
 exhausted, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from pathlib import Path
@@ -29,7 +31,7 @@ from .expr import (
     parse_chromosome,
 )
 from .fitness import INVALID, graph_fitness
-from .game import StateSpaceMode, bfs_order, build_graph, canonicalize, edge_count, state_count
+from .game import StateSpaceMode, bfs_order, build_graph, canonicalize, edge_count, state_count, state_text
 from .genetics import OperatorConfig
 from .oracle import retrograde_p_mask, verify_formula
 from .play import (
@@ -42,6 +44,7 @@ from .play import (
 )
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_VERIFY_FAILED = 4
@@ -272,10 +275,6 @@ def _build(args, heaps):
     return build_graph(heaps, args.state_space)
 
 
-def _state_text(state) -> str:
-    return f"({', '.join(str(h) for h in state)})"
-
-
 #: Node ids the oracle listing turns into states at a time
 _TABLE_CHUNK = 4096
 
@@ -353,7 +352,7 @@ def _cmd_oracle(args) -> int:
     """print the ground-truth P/N table"""
     graph = _build(args, args.heaps)
     for state, is_p in _oracle_table(graph):
-        print(f"{_state_text(state)}: {'P' if is_p else 'N'}")
+        print(f"{state_text(state)}: {'P' if is_p else 'N'}")
     return EXIT_OK
 
 
@@ -374,7 +373,7 @@ def _cmd_verify(args) -> int:
     for state, is_p in _oracle_table(graph):
         if state in wrong:
             formula, oracle = ("N", "P") if is_p else ("P", "N")
-            print(f"  {_state_text(state)}: formula={formula} oracle={oracle}")
+            print(f"  {state_text(state)}: formula={formula} oracle={oracle}")
     return EXIT_VERIFY_FAILED
 
 
@@ -471,10 +470,17 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _resolve(args, _load_config(args.config))
-        return _RUN[args.command](args)
+        code = _RUN[args.command](args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader went away; the rest of the output goes to devnull, so
+        # the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
 
 
 if __name__ == "__main__":

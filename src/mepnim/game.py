@@ -35,6 +35,12 @@ def canonicalize(heaps, mode: StateSpaceMode) -> GameState:
     return state
 
 
+def state_text(state: GameState) -> str:
+    """The state as its messages and listings show it: "(4, 1, 3)", and
+    "(7)" for one heap."""
+    return f"({', '.join(map(str, state))})"
+
+
 def is_terminal(state: GameState) -> bool:
     return not any(state)
 

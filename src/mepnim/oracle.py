@@ -8,6 +8,7 @@ formulas are verified against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
@@ -30,9 +31,9 @@ BOX_VERIFY_STATES = 2**14
 def retrograde_p_mask(graph: GameGraph) -> np.ndarray:
     """Read-only boolean P-mask over node ids by backward induction: the
     terminal is P, a node with a P child is N, a node whose children are
-    all N is P.  States are taken in groups by their total object count,
-    from 0 upward; every move decreases the total, so each child is
-    labeled before its parents.
+    all N is P.  A multiset graph's states go in groups by their total
+    object count, from 0 upward, and a tuple graph's box by whole lines
+    (`_line_walk`); either way each child is labeled before its parents.
 
     The first call labels the graph and keeps the mask on it, so later
     calls on the same graph return that same array.
@@ -40,7 +41,7 @@ def retrograde_p_mask(graph: GameGraph) -> np.ndarray:
     mask = getattr(graph, "_p_mask", None)
     if mask is not None:
         return mask
-    mask = _box_walk(graph) if graph.mode is StateSpaceMode.TUPLE else _edge_walk(graph)
+    mask = _line_walk(graph) if graph.mode is StateSpaceMode.TUPLE else _edge_walk(graph)
     mask.flags.writeable = False
     graph._p_mask = mask
     return mask
@@ -71,42 +72,42 @@ def _edge_walk(graph: GameGraph) -> np.ndarray:
     return ~has_p_child
 
 
-def _box_walk(graph: GameGraph) -> np.ndarray:
-    """The level walk over a tuple graph's box codes (node ids), no edges.
-
-    Per heap i, ``below[i, v]`` says whether some state v - t e_i (t >= 1)
-    is P: it is ``below[i, v - e_i] or P(v - e_i)``, read one level down,
-    and v is P exactly when no heap has it set.  The state v - e_i has box
-    code ``v - box_strides[i]``; where heap i of v is 0 that code belongs
-    to another state, so the read goes to a sentinel slot that stays
-    False."""
-    shape, size, n = graph.box_shape, graph.num_nodes, graph.n_heaps
-    narrow = np.int32 if n * (size + 1) < 2**31 else np.int64  # holds every index into below
-    stride = np.array(graph.box_strides, dtype=narrow).reshape(n, 1)
-    period = stride * np.array(shape, dtype=narrow).reshape(n, 1)  # heap i is 0 iff code % period < stride
-    level_type = np.min_scalar_type(sum(graph.root))
-    level = np.zeros(shape, dtype=level_type)  # total object count by box code
-    for i, dim in enumerate(shape):
-        level += np.arange(dim, dtype=level_type).reshape((dim,) + (1,) * (n - 1 - i))
-    level = level.ravel()
-    by_level = np.argsort(level, kind="stable").astype(narrow)
+def _line_walk(graph: GameGraph) -> np.ndarray:
+    """The walk over a tuple graph's box by whole lines, no edges.  A line
+    holds the states that differ only in heap a, the longest (the first on
+    ties).  At most one of them is P, as each later one moves to it: the
+    first position that no P state on a lower line along another heap j
+    holds (Grundy's mex).  ``below[j, l]`` flags the P positions of the
+    lines l - t e_j (t >= 1): those of l - e_j and its own, one wave down,
+    as lines go in waves by the sum of their other heaps.  Where heap j of
+    l is 0 the read goes to a sentinel line that stays clear, and a line
+    with no P state flags the sentinel column ``length``."""
+    shape = graph.box_shape
+    if not shape:
+        return np.ones(1, dtype=bool)  # the empty state alone
+    a = shape.index(max(shape))
+    length, rest = shape[a], shape[:a] + shape[a + 1 :]
+    lines, m = graph.num_nodes // length, len(rest)
+    coords = np.indices(rest, dtype=np.min_scalar_type(max(shape))).reshape(m, lines)
+    level = coords.sum(axis=0, dtype=np.intp)
+    by_level = np.argsort(level, kind="stable")
     ends = np.cumsum(np.bincount(level)).tolist()
-    del level
-    # row i of below starts at i * (size + 1); the last slot of p and of
-    # each row is the sentinel
-    below = np.zeros(n * (size + 1), dtype=bool)
-    row = (np.arange(n, dtype=narrow) * (size + 1)).reshape(n, 1)
-    p = np.zeros(size + 1, dtype=bool)
-    p[0] = True  # level 0 is the terminal, box code 0
-    for lo, hi in zip(ends, ends[1:]):
-        codes = by_level[lo:hi]
-        lower = codes - stride
-        lower[codes % period < stride] = size
-        seen = below[lower + row]
-        seen |= p[lower]
-        below[codes + row] = seen
-        p[codes] = ~seen.any(axis=0)
-    return p[:size]
+    coords = coords[:, by_level]
+    strides = np.array([math.prod(rest[j + 1 :]) for j in range(m)], dtype=np.intp).reshape(m, 1)
+    below = np.zeros((m, lines + 1, length + 1), dtype=bool)
+    p = np.full(lines + 1, length)  # each line's P position
+    heap = np.arange(m).reshape(m, 1)
+    for lo, hi in zip([0, *ends], ends):
+        ids = by_level[lo:hi]
+        low = np.where(coords[:, lo:hi] > 0, ids - strides, lines)  # l - e_j, or the sentinel
+        rows = below[heap, low]
+        rows[heap, np.arange(hi - lo), p[low]] = True
+        below[heap, ids] = rows
+        seen = rows.any(axis=0)
+        seen[:, length] = False
+        p[ids] = seen.argmin(axis=1)
+    mask = np.arange(length) == p[:lines].reshape(lines, 1)
+    return np.moveaxis(mask.reshape(*rest, length), -1, a).reshape(-1)
 
 
 def retrograde_labels(graph: GameGraph) -> dict[GameState, Label]:
@@ -147,10 +148,8 @@ def verify_formula(chrom: Chromosome, graph: GameGraph) -> VerifyResult:
             p = evaluate_many(chrom, graph.heap_matrix, graph.n_heaps) == 0
     except EvalError:
         return VerifyResult(agrees=False, disagreements=(), invalid=True)
-    if on_box:
-        # the box's flat indices are the box codes; only the disagreeing
-        # states' heaps are read, off their codes
-        wrong = graph.heap_rows(np.flatnonzero(p != retrograde_p_mask(graph).reshape(graph.box_shape)))
-    else:
-        wrong = graph.heap_matrix[p != retrograde_p_mask(graph)]
-    return VerifyResult(agrees=not len(wrong), disagreements=tuple(map(tuple, wrong.tolist())))
+    # the box's flat indices are its codes, so both shapes flatten to node ids
+    wrong = p != retrograde_p_mask(graph).reshape(graph.box_shape if on_box else -1)
+    if not wrong.any():
+        return VerifyResult(agrees=True, disagreements=())
+    return VerifyResult(agrees=False, disagreements=tuple(map(tuple, graph.heap_rows(np.flatnonzero(wrong)).tolist())))

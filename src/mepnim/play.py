@@ -19,7 +19,7 @@ from typing import Callable
 from .expr import Chromosome, EvalError, evaluate
 # `play` no longer calls `moves`, but perfbench/tracer.py wraps `play.moves`
 # by name, so the name stays importable from this module.
-from .game import GameGraph, GameState, StateSpaceMode, _moves, apply_move, canonicalize, is_terminal, moves, nth_move
+from .game import GameGraph, GameState, StateSpaceMode, _moves, apply_move, canonicalize, is_terminal, moves, nth_move, state_text
 from .oracle import retrograde_p_mask
 
 Classifier = Callable[[GameState], bool]
@@ -36,7 +36,7 @@ def formula_classifier(chrom: Chromosome, n_heaps: int) -> Classifier:
         try:
             return evaluate(chrom, state, n_heaps) == 0
         except EvalError as exc:
-            raise EvalError(f"{exc} on state ({', '.join(map(str, state))})") from None
+            raise EvalError(f"{exc} on state {state_text(state)}") from None
 
     return is_p
 
@@ -84,8 +84,7 @@ class MoveRecord:
     state: GameState
 
     def __str__(self) -> str:
-        heaps = ", ".join(str(h) for h in self.state)
-        return f"move: heap {self.heap} take {self.take} -> ({heaps})"
+        return f"move: heap {self.heap} take {self.take} -> {state_text(self.state)}"
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def interactive_session(classifier: Classifier, start, mode: StateSpaceMode, std
         print(text, file=stdout)
 
     state = canonicalize(start, mode)
-    say(f"heaps: ({', '.join(str(h) for h in state)})")
+    say(f"heaps: {state_text(state)}")
     if is_terminal(state):
         say("nothing to play: the game is already over")
         return
@@ -154,7 +153,7 @@ def interactive_session(classifier: Classifier, start, mode: StateSpaceMode, std
 
 def _read_human_move(state: GameState, mode: StateSpaceMode, stdin, stdout) -> MoveRecord | None:
     while True:
-        print(f"your move (heap take) from ({', '.join(str(h) for h in state)}): ", end="", file=stdout, flush=True)
+        print(f"your move (heap take) from {state_text(state)}: ", end="", file=stdout, flush=True)
         line = stdin.readline()
         if not line:
             return None

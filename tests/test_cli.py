@@ -578,6 +578,16 @@ class TestRunAsModule:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "--no-such-flag" in done.stderr
 
+    def test_closed_output_exits_1_without_a_traceback(self):
+        # 100,000 lines, far more than a pipe holds, as `mepnim oracle ... | head -1` reads them
+        env = dict(os.environ, PYTHONPATH=str(Path(mepnim.__file__).parent.parent))
+        argv = [sys.executable, "-m", "mepnim", "oracle", "--heaps", "9,9,9,9,9", "--state-space", "tuple"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as done:
+            assert done.stdout.readline() == b"(9, 9, 9, 9, 9): N\n"
+            done.stdout.close()
+            err = done.stderr.read()
+        assert (done.returncode, err) == (1, b"")
+
     def test_subcommand_output_equals_main(self, capsys):
         assert main(["oracle", "--heaps", "2,1", "--state-space", "tuple"]) == 0
         done = self.run("oracle", "--heaps", "2,1", "--state-space", "tuple")

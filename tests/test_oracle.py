@@ -121,6 +121,17 @@ class TestVerifyFormula:
                 assert verify_formula(chrom("n"), graph).agrees
                 assert verify_formula(chrom("n", ("not", 1)), graph).disagreements == ((),)
 
+    @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
+    @pytest.mark.parametrize("box_states", [oracle.BOX_VERIFY_STATES, 0])
+    def test_agreeing_verify_decodes_no_states(self, mode, box_states, monkeypatch):
+        def decode(self, ids):
+            raise AssertionError("an agreeing verify decoded node ids")
+
+        graph = build_graph((4, 3, 2), mode)
+        monkeypatch.setattr(type(graph), "heap_rows", decode)
+        monkeypatch.setattr(oracle, "BOX_VERIFY_STATES", box_states)
+        assert verify_formula(xor_chain(3), graph) == oracle.VerifyResult(agrees=True, disagreements=())
+
     def test_invalid_formula_reported(self):
         result = verify_formula(chrom("a1", "a2", ("div", 1, 2)), build_graph((2, 1), TUPLE))
         assert result.invalid
@@ -212,12 +223,22 @@ def edge_walk_p_mask(graph):
 @example([0]).via("one empty heap")
 @example([0, 3, 0, 2]).via("empty heaps between")
 @example([255, 3]).via("a heap at the uint8 limit")
+@example([0, 5]).via("one line along the last heap, the other heap empty")
+@example([5, 0, 3]).via("the longest heap first, beside an empty heap")
+@example([3, 9, 2]).via("the longest heap in the middle")
 def test_box_mask_equals_edge_walk_and_xor_rule(root):
     graph = build_graph(root, TUPLE)
     mask = retrograde_p_mask(graph)
     assert mask.dtype == bool and mask.shape == (graph.num_nodes,)
     assert np.array_equal(mask, edge_walk_p_mask(graph))
     assert np.array_equal(mask, np.array([bouton_label(s) is Label.P for s in graph.nodes], dtype=bool))
+
+
+@pytest.mark.parametrize("root", [(1000,), (5, 100), (200, 200), (2,) * 8, (1,) * 12])
+def test_box_mask_on_long_lines_and_many_heaps_equals_xor_rule(root):
+    # one long line, many short lines, a square, and many heaps on short lines
+    graph = build_graph(root, TUPLE)
+    assert np.array_equal(retrograde_p_mask(graph), np.bitwise_xor.reduce(graph.heap_matrix, axis=1) == 0)
 
 
 @pytest.mark.parametrize("root,mode", [((7, 7, 7, 7, 7), TUPLE), ((9, 9, 9, 9, 9, 9), MULTISET)])
