@@ -49,18 +49,24 @@ class EvolutionConfig:
 class RunResult:
     """Outcome of one evolution run.
 
-    ``generation_of_success`` is the 1-based generation in which a
-    fitness-0 individual first appeared (0 when the random initial
-    population already contained one), None on failure.
     ``best_fitness_history`` holds the population's best fitness after
     initialization and after each executed generation.
     """
 
-    success: bool
     best_chromosome: Chromosome
     best_fitness: int | float
-    generation_of_success: int | None
     best_fitness_history: tuple[int | float, ...]
+
+    @property
+    def success(self) -> bool:
+        return self.best_fitness == 0
+
+    @property
+    def generation_of_success(self) -> int | None:
+        """The 1-based generation in which a fitness-0 individual first
+        appeared (0 when the random initial population already held one),
+        None on failure."""
+        return len(self.best_fitness_history) - 1 if self.success else None
 
 
 def tournament_select(fitnesses, rng: random.Random) -> int:
@@ -103,14 +109,12 @@ def evolve(config: EvolutionConfig) -> RunResult:
     best_chrom, best_fit = population[best_idx], fitnesses[best_idx]
     history = [best_fit]
 
-    if best_fit == 0:
-        return RunResult(True, best_chrom, best_fit, 0, tuple(history))
-
     worst_idx = fitnesses.index(max(fitnesses))
     iterations = max(1, pop_size // 2)
-    success_generation = None
 
-    for generation in range(1, config.generations + 1):
+    generation = 0
+    while best_fit != 0 and generation < config.generations:
+        generation += 1
         for _ in range(iterations):
             p1 = population[tournament_select(fitnesses, rng)]
             p2 = population[tournament_select(fitnesses, rng)]
@@ -130,17 +134,8 @@ def evolve(config: EvolutionConfig) -> RunResult:
                 worst_idx = fitnesses.index(max(fitnesses))
                 if offspring_fit < best_fit:
                     best_chrom, best_fit = best_offspring, offspring_fit
-            if best_fit == 0:
-                success_generation = generation
-                break
+                    if best_fit == 0:
+                        break
         history.append(best_fit)
-        if success_generation is not None:
-            break
 
-    return RunResult(
-        success=best_fit == 0,
-        best_chromosome=best_chrom,
-        best_fitness=best_fit,
-        generation_of_success=success_generation,
-        best_fitness_history=tuple(history),
-    )
+    return RunResult(best_chrom, best_fit, tuple(history))

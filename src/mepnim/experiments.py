@@ -38,10 +38,13 @@ class SweepRow:
     value: int
     runs: int
     successes: int
-    success_rate: float | None
     mean_generations_to_success: float | None
     mean_best_fitness: float | None
     error: str | None = None
+
+    @property
+    def success_rate(self) -> float | None:
+        return self.successes / self.runs if self.runs else None
 
 
 def derive_seed(master_seed: int, parameter: str, value: int, run_index: int) -> int:
@@ -52,7 +55,6 @@ def derive_seed(master_seed: int, parameter: str, value: int, run_index: int) ->
 
 def run_cell(spec: SweepSpec, value: int, master_seed: int) -> SweepRow:
     """All runs for one parameter value, aggregated."""
-    successes = 0
     generations: list[int] = []
     best_fits: list[float] = []
     try:
@@ -61,20 +63,17 @@ def run_cell(spec: SweepSpec, value: int, master_seed: int) -> SweepRow:
             seed = derive_seed(master_seed, spec.parameter, value, run_index)
             result = evolve(replace(config, seed=seed))
             if result.success:
-                successes += 1
                 generations.append(result.generation_of_success)
             if result.best_fitness != INVALID:
                 best_fits.append(result.best_fitness)
     except ValueError as exc:
-        return SweepRow(spec.parameter, value, 0, 0, None, None, None, error=str(exc))
+        return SweepRow(spec.parameter, value, 0, 0, None, None, error=str(exc))
 
-    runs = spec.runs_per_value
     return SweepRow(
         parameter=spec.parameter,
         value=value,
-        runs=runs,
-        successes=successes,
-        success_rate=successes / runs,
+        runs=spec.runs_per_value,
+        successes=len(generations),
         mean_generations_to_success=(sum(generations) / len(generations)) if generations else None,
         mean_best_fitness=(sum(best_fits) / len(best_fits)) if best_fits else None,
     )

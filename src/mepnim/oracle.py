@@ -125,9 +125,12 @@ def bouton_label(state: GameState) -> Label:
 
 @dataclass(frozen=True)
 class VerifyResult:
-    agrees: bool
     disagreements: tuple[GameState, ...]
     invalid: bool = False
+
+    @property
+    def agrees(self) -> bool:
+        return not (self.invalid or self.disagreements)
 
     def __bool__(self) -> bool:
         return self.agrees
@@ -147,9 +150,9 @@ def verify_formula(chrom: Chromosome, graph: GameGraph) -> VerifyResult:
         else:
             p = evaluate_many(chrom, graph.heap_matrix, graph.n_heaps) == 0
     except EvalError:
-        return VerifyResult(agrees=False, disagreements=(), invalid=True)
+        return VerifyResult((), invalid=True)
     # the box's flat indices are its codes, so both shapes flatten to node ids
     wrong = p != retrograde_p_mask(graph).reshape(graph.box_shape if on_box else -1)
     if not wrong.any():
-        return VerifyResult(agrees=True, disagreements=())
-    return VerifyResult(agrees=False, disagreements=tuple(map(tuple, graph.heap_rows(np.flatnonzero(wrong)).tolist())))
+        return VerifyResult(())
+    return VerifyResult(tuple(map(tuple, graph.heap_rows(np.flatnonzero(wrong)).tolist())))

@@ -89,10 +89,16 @@ class MoveRecord:
 
 @dataclass(frozen=True)
 class PlayedGame:
-    """Winner (1 = the strategy that moved first) and full move transcript."""
+    """A game's full move transcript."""
 
-    winner: int
     transcript: tuple[MoveRecord, ...]
+
+    @property
+    def winner(self) -> int:
+        """1 for the strategy that moved first, else 2.  The last mover won;
+        with a terminal start nobody moved and the previous player (not the
+        first mover) already holds the win."""
+        return self.transcript[-1].player if self.transcript else 2
 
 
 def play_game(first: Strategy, second: Strategy, start, mode: StateSpaceMode) -> PlayedGame:
@@ -110,10 +116,7 @@ def play_game(first: Strategy, second: Strategy, start, mode: StateSpaceMode) ->
             raise ValueError(f"strategy for player {player} returned illegal move heap {heap} take {take}: {exc}") from None
         transcript.append(MoveRecord(player, heap, take, state))
         player = 3 - player
-    # the last mover won; with a terminal start nobody moved and the
-    # previous player (not the first mover) already holds the win
-    winner = transcript[-1].player if transcript else 2
-    return PlayedGame(winner, tuple(transcript))
+    return PlayedGame(tuple(transcript))
 
 
 def interactive_session(classifier: Classifier, start, mode: StateSpaceMode, stdin=None, stdout=None) -> None:

@@ -46,7 +46,7 @@ def test_failed_run_shows_its_stderr_and_keeps_the_pairs_so_far(tmp_path, monkey
         runs.append(argv)
         if len(runs) == 7:  # second workload, second pair, first side
             raise subprocess.CalledProcessError(1, argv, "", "line 1\nTraceback\nValueError: boom\n")
-        result = {"failed": 0, "attempted": 3, "metrics": {"speed": {"value": float(len(runs))}}}
+        result = {"failed": 0, "attempted": 3, "metrics": {"speed": {"value": float(len(runs))}, "verify_s": {"value": 5.3e-05}}}
         return subprocess.CompletedProcess(argv, 0, json.dumps({"python": "3"}) + "\n" + json.dumps(result) + "\n", "")
 
     monkeypatch.setattr(tool.subprocess, "run", fake_run)
@@ -56,6 +56,7 @@ def test_failed_run_shows_its_stderr_and_keeps_the_pairs_so_far(tmp_path, monkey
     assert len(runs) == 7
     err = capsys.readouterr().err
     assert "exited with status 1" in err and "ValueError: boom" in err
+    assert "'verify_s': 5.3e-05" in err  # four significant digits, not rounded to 0.0001
     report = json.loads(out.read_text())
     assert report["workloads"]["first"]["metrics"]["speed"]["change"]["runs"] == [2.0, 3.0]
     second = report["workloads"]["second"]

@@ -327,6 +327,12 @@ class TestPlay:
         assert code == 2
         assert err == f"error: formula is invalid: modulo by zero on state {state}\n"
 
+    def test_human_session_from_the_terminal(self, tmp_path, capsys):
+        two_heap = tmp_path / "xor2.mep"
+        two_heap.write_text(format_chromosome(xor_chain(2), heaps=2) + "\n")
+        assert main(["play", "--formula-file", str(two_heap), "--heaps", "0,0", "--human"]) == 0
+        assert capsys.readouterr().out == "heaps: (0, 0)\nnothing to play: the game is already over\n"
+
     def test_bad_heaps_value(self, xor_file, capsys):
         assert main(["play", "--formula-file", xor_file, "--heaps", "4,x"]) == 2
         assert "bad value for --heaps '4,x'" in capsys.readouterr().err
@@ -371,6 +377,23 @@ class TestBadSettings:
     def test_out_of_range_operator_setting(self, flag, value, field, tmp_path, capsys):
         code = main(["evolve", "--heaps", "2,2", flag, value, "--out", str(tmp_path / "x.mep")])
         self.assert_usage_error(code, capsys, field)
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("heaps 2,2\n")
+        code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.mep")])
+        self.assert_usage_error(code, capsys, "config line 1", "key = value")
+
+    def test_experiment_with_no_runs(self, tmp_path, capsys):
+        code = main(["experiment", "--name", "exp1", "--runs", "0", "--out", str(tmp_path / "x.csv")])
+        self.assert_usage_error(code, capsys, "runs_per_value")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_out_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.mep"
+        code = main(["evolve", "--heaps", "2,2", "--pop", "6", "--gens", "2", "--out", str(out)])
+        self.assert_usage_error(code, capsys, "cannot write", "No such file or directory")
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("command,extra", [
         ("evolve", []),

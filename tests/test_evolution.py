@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from mepnim.evolution import EvolutionConfig, evolve, tournament_select
+from conftest import xor_chain
+from mepnim.evolution import EvolutionConfig, RunResult, evolve, tournament_select
+from mepnim.experiments import SweepRow
 from mepnim.fitness import INVALID, graph_fitness
 from mepnim.game import StateSpaceMode, build_graph
 from mepnim.genetics import OperatorConfig
-from mepnim.oracle import verify_formula
+from mepnim.oracle import VerifyResult, verify_formula
+from mepnim.play import MoveRecord, PlayedGame
 
 
 class TestTournament:
@@ -105,6 +108,22 @@ class TestEvolve:
             assert result.success == (result.best_fitness == 0)
             if not result.success:
                 assert result.generation_of_success is None
+
+    def test_hand_made_results_report_derived_values(self):
+        c = xor_chain(2)
+        won = RunResult(c, 0, (3, 1, 0))
+        assert (won.success, won.generation_of_success) == (True, 2)
+        assert RunResult(c, 0, (0,)).generation_of_success == 0
+        lost = RunResult(c, 4, (5, 4))
+        assert (lost.success, lost.generation_of_success) == (False, None)
+        assert PlayedGame(()).winner == 2
+        assert PlayedGame((MoveRecord(1, 1, 2, (0, 1)), MoveRecord(2, 2, 1, (0, 0)))).winner == 2
+        assert PlayedGame((MoveRecord(1, 1, 2, (0, 0)),)).winner == 1
+        assert VerifyResult(()).agrees is True
+        assert VerifyResult((), invalid=True).agrees is False
+        assert VerifyResult(((1, 0),)).agrees is False
+        assert SweepRow("generations", 20, 4, 1, 7.0, 2.5).success_rate == 0.25
+        assert SweepRow("generations", 2, 0, 0, None, None, error="bad").success_rate is None
 
     def test_best_chromosome_has_reported_fitness(self):
         config = EvolutionConfig(heaps=(3, 2), population_size=10, chromosome_length=8,

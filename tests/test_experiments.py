@@ -78,21 +78,21 @@ class TestCsv:
         assert emit_csv(()) == CSV_HEADER + "\n"
 
     def test_row_rendering(self):
-        row = SweepRow("population_size", 20, 50, 6, 6 / 50, 41.5, 2.04)
+        row = SweepRow("population_size", 20, 50, 6, 41.5, 2.04)
         text = emit_csv((row,))
         assert text.splitlines()[0] == CSV_HEADER
         assert text.splitlines()[1] == "population_size,20,50,6,0.12,41.5,2.04"
 
     def test_blank_mean_when_no_successes(self):
-        row = SweepRow("generations", 20, 50, 0, 0.0, None, 3.5)
+        row = SweepRow("generations", 20, 50, 0, None, 3.5)
         assert emit_csv((row,)).splitlines()[1] == "generations,20,50,0,0,,3.5"
 
     def test_error_row_renders_blanks(self):
-        row = SweepRow("population_size", 2, 0, 0, None, None, None, error="population_size must be >= 4")
+        row = SweepRow("population_size", 2, 0, 0, None, None, error="population_size must be >= 4")
         assert emit_csv((row,)).splitlines()[1] == "population_size,2,0,0,,,"
 
     def test_non_terminating_rate_rendering(self):
-        row = SweepRow("chromosome_length", 35, 3, 1, 1 / 3, 12.0, 0.5)
+        row = SweepRow("chromosome_length", 35, 3, 1, 12.0, 0.5)
         assert emit_csv((row,)).splitlines()[1] == "chromosome_length,35,3,1,0.333333,12,0.5"
 
 

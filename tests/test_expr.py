@@ -329,6 +329,12 @@ class TestTextFormat:
             ("heaps=2 genes=2\n1: a1\n2: a3", 3),  # heap ref beyond header
             ("1: a1\n3: a2", 2),                   # label out of order
             ("", 1),                               # empty listing
+            ("1: a1\na2", 2),                      # no ':' after the label
+            ("1: a1\nx: a2", 2),                   # label not an integer
+            ("1: a1\n2:", 2),                      # missing symbol
+            ("1: a1\n2: xor 1 b", 2),              # argument reference not an integer
+            ("heaps=x genes=2\n1: a1\n2: a2", 1),  # malformed header
+            ("heaps=0 genes=1\n1: a1", 1),         # header count below 1
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, line):

@@ -130,7 +130,7 @@ class TestVerifyFormula:
         graph = build_graph((4, 3, 2), mode)
         monkeypatch.setattr(type(graph), "heap_rows", decode)
         monkeypatch.setattr(oracle, "BOX_VERIFY_STATES", box_states)
-        assert verify_formula(xor_chain(3), graph) == oracle.VerifyResult(agrees=True, disagreements=())
+        assert verify_formula(xor_chain(3), graph) == oracle.VerifyResult(disagreements=())
 
     def test_invalid_formula_reported(self):
         result = verify_formula(chrom("a1", "a2", ("div", 1, 2)), build_graph((2, 1), TUPLE))

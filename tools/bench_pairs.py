@@ -12,10 +12,12 @@ the side that runs first alternates from pair to pair, and pair i uses seed
 ``first_seed + i``.  The output records, per workload and end-to-end
 metric, each side's per-pair values, median and quartiles (inclusive
 method), and the pairs the change won (ties count for neither side), with
-the failed and attempted output checks of every run.  The report is written
-after each workload.  A run that exits non-zero stops the tool: it prints
-the tail of that run's standard error, writes the report with the finished
-workloads and the current one's runs so far, and exits with status 1.
+the failed and attempted output checks of every run.  Each run's metrics go
+to standard error as it ends, to four significant digits (``verify_s`` is
+tens of microseconds).  The report is written after each workload.  A run
+that exits non-zero stops the tool: it prints the tail of that run's
+standard error, writes the report with the finished workloads and the
+current one's runs so far, and exits with status 1.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def main(argv=None) -> int:
                     return 1
                 results[side].append(result)
                 report["environments"].append({"workload": workload, "side": side, **env})
-                print(workload, seed, side, {k: round(v["value"], 4) for k, v in result["metrics"].items()}, file=sys.stderr)
+                print(workload, seed, side, {k: float(f"{v['value']:.4g}") for k, v in result["metrics"].items()}, file=sys.stderr)
         report["workloads"][workload] = summarise(spec["end_to_end"], results, seeds)
         args.out.write_text(json.dumps(report, indent=1) + "\n")  # keep what is done so far
     return 0
