@@ -13,6 +13,7 @@ exhausted, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import random
 import sys
@@ -194,7 +195,9 @@ def _resolve(args: argparse.Namespace, config: dict[str, str]) -> None:
     """Set every setting of the chosen subcommand on `args`, cast and
     validated: the flag if given, else the config value, else the default.
     A formula is then checked against the heap count, so one that reads a
-    heap the game lacks is refused before the game is counted or built."""
+    heap the game lacks is refused before the game is counted or built, and
+    an --out path whose directory does not exist (it would hold every file
+    the run writes) is refused before anything is evolved."""
     missing = []
     for s in SETTINGS:
         if args.command not in s.defaults:
@@ -219,6 +222,10 @@ def _resolve(args: argparse.Namespace, config: dict[str, str]) -> None:
         raise UsageError(
             f"formula references heap a{max_heap_ref(formula) + 1} but the game has {len(args.heaps)} heaps"
         )
+    out = getattr(args, "out", None)
+    if out is not None and not out.parent.is_dir():
+        code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
+        raise UsageError(f"cannot write {out}: {OSError(code, os.strerror(code), str(out))}")
 
 
 def _echo(args: argparse.Namespace) -> str:

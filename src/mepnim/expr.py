@@ -229,12 +229,15 @@ def _trunc_mod(a: int, b: int) -> int:
     return -r if a < 0 else r
 
 
-# `_wrap` inlined, adding -2^63 where `_wrap` adds 2^63 (the same modulo
-# 2^64): no numpy integer type holds both -2^63 and 2^64 - 1, so a heap read
-# of a numpy integer fails here, with OverflowError (older numpy may raise
-# TypeError), before any value comes of it
+# `_wrap` inlined for + - *, adding -2^63 where `_wrap` adds 2^63 (the same
+# modulo 2^64).  The generated function reads heaps plainly and checks them
+# once, in one guard line: each value read is exactly an int within int64.
+# Anything else, such as a numpy integer from a heap-matrix row (no numpy
+# integer type holds both -2^63 and 2^64 - 1, so numpy arithmetic on it
+# would overflow or wrap to a numpy result), a bool or a Python int outside
+# int64, is replaced by `_wrap(operator.index(v))`; a float or other
+# non-integer raises TypeError there
 _WRAPPED = f"((%s + -{_SIGN}) & {_MASK}) - {_SIGN}"
-_HEAP_READ = _WRAPPED % "h[%d]"
 # the generated scalar form of each binary opcode (the order of FUNCTIONS),
 # to be filled with its two argument slots: + - * wrap to int64 inline, and
 # div and mod call the helpers that raise EvalError
@@ -253,14 +256,24 @@ _SCALAR_BINARY = (
 def _scalar_function(program: Program):
     """`program` as a Python function of a heap tuple and the heap count.
 
-    Its source is one assignment per instruction, built from the integer
-    opcodes and slots of ``program.code`` alone (``%d`` refuses anything
-    else), so no gene text reaches `exec`."""
-    lines = ["def run(h, n):"]
+    Its source reads every heap the program reads first, plainly
+    (``vK = h[i]``), then guards them in one line: unless each value read
+    is exactly an int in [-2^63, 2^63), every one is replaced by
+    ``_wrap(operator.index(v))``, which wraps a Python int outside int64,
+    turns a numpy integer or a bool into an int and raises TypeError for a
+    non-integer.  One assignment per operator instruction follows.  The
+    source is built from the integer opcodes and slots of ``program.code``
+    alone (``%d`` refuses anything else), so no gene text reaches `exec`."""
+    reads = [(slot, x) for slot, (op, x, _) in enumerate(program.code) if op == _HEAP]
+    lines = ["def run(h, n):"] + ["    v%d = h[%d]" % read for read in reads]
+    if reads:
+        guard = " and ".join("type(v%d) is int and %d <= v%d < %d" % (slot, -_SIGN, slot, _SIGN) for slot, _ in reads)
+        lines.append("    if not (%s):" % guard)
+        lines += ["        v%d = _wrap(_index(v%d))" % (slot, slot) for slot, _ in reads]
     for slot, (op, x, y) in enumerate(program.code):
         if op == _HEAP:
-            value = _HEAP_READ % x
-        elif op == _N:
+            continue
+        if op == _N:
             value = "n"
         elif op == _NOT:
             value = "~v%d" % x
@@ -268,14 +281,18 @@ def _scalar_function(program: Program):
             value = _SCALAR_BINARY[op] % (x, y)
         lines.append("    v%d = %s" % (slot, value))
     lines.append("    return v%d" % (len(program.code) - 1))
-    namespace = {"_trunc_div": _trunc_div, "_trunc_mod": _trunc_mod}
+    namespace = {"_trunc_div": _trunc_div, "_trunc_mod": _trunc_mod, "_wrap": _wrap, "_index": operator.index}
     exec("\n".join(lines), namespace)
     return namespace["run"]
 
 
+def _heap_ref_error(max_ref: int, n: int) -> ValueError:
+    return ValueError(f"chromosome references heap a{max_ref + 1} but game has {n} heaps")
+
+
 def _check_heap_refs(program: Program, n: int) -> None:
     if program.max_heap_ref >= n:
-        raise ValueError(f"chromosome references heap a{program.max_heap_ref + 1} but game has {n} heaps")
+        raise _heap_ref_error(program.max_heap_ref, n)
 
 
 def evaluate(chrom: Chromosome, state, n: int | None = None) -> int:
@@ -284,26 +301,27 @@ def evaluate(chrom: Chromosome, state, n: int | None = None) -> int:
     Only genes contributing to the last gene's expression are computed, so
     a division by zero in dead code does not raise.  Raises EvalError for
     div/mod by zero on the active path, ValueError on a state/heap-count
-    mismatch.  The first call on a chromosome generates a Python function
-    from its program (`_scalar_function`) and keeps it on the instance
-    beside the program, outside the dataclass fields; every call runs it.
+    mismatch or a heap reference beyond the state, and TypeError for a
+    heap read that is not an integer.  The first call on a chromosome
+    generates a Python function from its program (`_scalar_function`) and
+    keeps it, with the program's largest heap reference, on the instance
+    outside the dataclass fields; every call runs it.  Its guard makes a
+    numpy heap-matrix row, or any tuple of integers, give the value of the
+    equivalent tuple of ints.
     """
     heaps = tuple(state)
     if n is not None and n != len(heaps):
         raise ValueError(f"state has {len(heaps)} heaps, expected {n}")
     n = len(heaps)
-    program = chrom.program
-    _check_heap_refs(program, n)
-    run = chrom.__dict__.get("_scalar")
-    if run is None:
-        run = _scalar_function(program)
-        object.__setattr__(chrom, "_scalar", run)
-    try:
-        return run(heaps, n)
-    except (OverflowError, TypeError):
-        # numpy integer heaps, such as a heap-matrix row, fail at their
-        # first read (see _HEAP_READ); their int values do not
-        return run(tuple(map(operator.index, heaps)), n)
+    scalar = chrom.__dict__.get("_scalar")
+    if scalar is None:
+        program = chrom.program
+        scalar = program.max_heap_ref, _scalar_function(program)
+        object.__setattr__(chrom, "_scalar", scalar)
+    max_ref, run = scalar
+    if max_ref >= n:
+        raise _heap_ref_error(max_ref, n)
+    return run(heaps, n)
 
 
 def _div_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:

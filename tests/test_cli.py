@@ -395,6 +395,23 @@ class TestBadSettings:
         self.assert_usage_error(code, capsys, "cannot write", "No such file or directory")
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("command,entry,extra", [
+        ("evolve", "evolve", []),
+        ("experiment", "run_sweep", ["--name", "exp1"]),
+    ])
+    def test_out_in_a_missing_directory_is_refused_before_the_run(self, command, entry, extra, tmp_path, capsys,
+                                                                  monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"{entry} ran before the --out directory was checked")
+
+        monkeypatch.setattr(f"mepnim.cli.{entry}", no_run)
+        out = tmp_path / "missing" / "x.out"
+        args = [command, "--heaps", "2,2", *extra, "--out", str(out)]
+        self.assert_usage_error(main(args), capsys, f"cannot write {out}: ", "No such file or directory")
+        assert not (tmp_path / "missing").exists()
+        (tmp_path / "missing").write_text("")
+        self.assert_usage_error(main(args), capsys, f"cannot write {out}: ", "Not a directory")
+
     @pytest.mark.parametrize("command,extra", [
         ("evolve", []),
         ("fitness", ["--formula-file"]),

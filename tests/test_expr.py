@@ -1,5 +1,7 @@
+import enum
 import pickle
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -169,6 +171,72 @@ class TestEvaluate:
                         evaluate(c, state)
                 else:
                     assert evaluate(c, state) == expected
+
+
+class TestScalarGuard:
+    """The generated function reads the heaps plainly and checks them in one
+    guard; a value that is not an int within int64 is converted and
+    wrapped, and every outcome is the reference's, as a Python int."""
+
+    BOUNDARY = [-(1 << 63) - 1, INT64_MIN, (1 << 63) - 1, 1 << 63, 1 << 70]
+    FORMULAS = [
+        chrom("a1"),
+        chrom("a1", ("not", 1)),
+        chrom("a1", "a2", ("xor", 1, 2)),
+        chrom("a1", "a1", ("+", 1, 2)),  # one heap read twice
+        chrom("a1", "a2", ("-", 1, 2), "n", ("*", 3, 4)),
+        chrom("a2", "a1", ("div", 1, 2)),  # 2^70 wraps to 0, a zero divisor
+        chrom("a1", "a2", ("mod", 1, 2)),
+    ]
+
+    @staticmethod
+    def outcome(evaluator, c, state):
+        try:
+            value = evaluator(c, state)
+        except EvalError as error:
+            return f"EvalError: {error}"
+        return type(value), value
+
+    def assert_reference(self, state, reference_state=None):
+        for c in self.FORMULAS:
+            expected = self.outcome(reference_evaluate, c, state if reference_state is None else reference_state)
+            assert expected[0] is int or expected.startswith("EvalError")
+            assert self.outcome(evaluate, c, state) == expected, (c, state)
+
+    def test_heaps_at_the_int64_boundaries(self):
+        for state in product(self.BOUNDARY + [0, 1], repeat=2):
+            self.assert_reference(state)
+
+    def test_bools_and_int_enums(self):
+        class Size(enum.IntEnum):
+            THREE = 3
+
+        for state in [(True, False), (False, True), (True, True), (Size.THREE, 5), (Size.THREE, True)]:
+            self.assert_reference(state)
+
+    def test_numpy_integers_alone_and_mixed_with_ints(self):
+        numpy_values = [np.int64(0), np.int64(7), np.int64(INT64_MIN), np.int64((1 << 63) - 1),
+                        np.uint64(1 << 63), np.uint64((1 << 64) - 1), np.uint64(2)]
+        for a, b in product(numpy_values + [0, 5, 1 << 63, 1 << 70], numpy_values):
+            for state in [(a, b), (b, a)]:
+                self.assert_reference(state, tuple(map(int, state)))
+
+    def test_a_formula_that_reads_no_heap(self):
+        for c in (chrom("n"), chrom("a1", "n"), chrom("n", ("not", 1))):
+            for state in [(1 << 70, 0), (np.int64(3), np.uint64(1 << 63)), (2.5, "x")]:
+                expected = reference_evaluate(c, state)
+                value = evaluate(c, state)
+                assert (type(value), value) == (int, expected)
+
+    def test_a_float_on_a_read_heap_raises_type_error(self):
+        for state in [(1.5, 2), (2, 2.0), (np.float64(2.0), np.int64(1)), (1 << 70, 0.5)]:
+            with pytest.raises(TypeError):
+                evaluate(chrom("a1", "a2", ("xor", 1, 2)), state)
+
+    def test_only_the_heaps_read_are_converted(self):
+        # the non-integer sits on a heap the program does not read
+        assert evaluate(chrom("a1"), (np.int64(3), 2.5)) == 3
+        assert evaluate(chrom("a2", "a1"), (1 << 64, "x")) == 0
 
 
 class TestEvaluateMany:

@@ -4,7 +4,9 @@ from itertools import product
 
 import pytest
 
-from conftest import xor_chain
+from conftest import chrom, xor_chain
+from mepnim import play
+from mepnim.expr import evaluate
 from mepnim.fitness import Label
 from mepnim.game import StateSpaceMode, apply_move, build_graph, canonicalize, children
 from mepnim.oracle import bouton_label
@@ -68,6 +70,33 @@ class TestBestMove:
     def test_terminal_rejected(self):
         with pytest.raises(ValueError):
             best_move(bouton_is_p, (0, 0), MULTISET)
+
+    @pytest.mark.parametrize("mode", [MULTISET, TUPLE])
+    def test_formula_classifier_evaluates_each_classified_child_once(self, mode, monkeypatch):
+        # the benchmark's tracer counts play's evaluations through
+        # `play.evaluate`, so each child classified is one call of it
+        calls = []
+
+        def counting_evaluate(*args):
+            calls.append(args[1])
+            return evaluate(*args)
+
+        monkeypatch.setattr(play, "evaluate", counting_evaluate)
+        for c in (xor_chain(3), chrom("a1", "a2", ("-", 1, 2), "a3", ("*", 3, 4))):
+            is_p = formula_classifier(c, 3)
+            for raw in product(range(3), repeat=3):
+                if not any(raw):
+                    continue
+                state = canonicalize(raw, mode)
+                seen = []
+
+                def classify(child):
+                    seen.append(child)
+                    return is_p(child)
+
+                calls.clear()
+                best_move(classify, state, mode)
+                assert calls == seen and seen
 
     def test_deterministic(self):
         classify = formula_classifier(xor_chain(3), 3)
