@@ -230,13 +230,11 @@ def _trunc_mod(a: int, b: int) -> int:
 
 
 # `_wrap` inlined for + - *, adding -2^63 where `_wrap` adds 2^63 (the same
-# modulo 2^64).  The generated function reads heaps plainly and checks them
-# once, in one guard line: each value read is exactly an int within int64.
-# Anything else, such as a numpy integer from a heap-matrix row (no numpy
-# integer type holds both -2^63 and 2^64 - 1, so numpy arithmetic on it
-# would overflow or wrap to a numpy result), a bool or a Python int outside
-# int64, is replaced by `_wrap(operator.index(v))`; a float or other
-# non-integer raises TypeError there
+# modulo 2^64).  It needs Python ints: no numpy integer type holds both
+# -2^63 and 2^64 - 1, so on a numpy integer, such as an element of a
+# heap-matrix row, it raises OverflowError.  So the guard of
+# `_scalar_function` converts each heap read that is not exactly an int, as
+# well as wrapping one outside int64
 _WRAPPED = f"((%s + -{_SIGN}) & {_MASK}) - {_SIGN}"
 # the generated scalar form of each binary opcode (the order of FUNCTIONS),
 # to be filled with its two argument slots: + - * wrap to int64 inline, and
@@ -258,17 +256,22 @@ def _scalar_function(program: Program):
 
     Its source reads every heap the program reads first, plainly
     (``vK = h[i]``), then guards them in one line: unless each value read
-    is exactly an int in [-2^63, 2^63), every one is replaced by
-    ``_wrap(operator.index(v))``, which wraps a Python int outside int64,
-    turns a numpy integer or a bool into an int and raises TypeError for a
-    non-integer.  One assignment per operator instruction follows.  The
+    is exactly an int and their bitwise or lies in [0, 2^63), which holds
+    exactly when each value does, every one is replaced by
+    ``_wrap(operator.index(v))``.  That wraps a Python int outside int64,
+    turns a numpy integer or a bool into an int, leaves a negative int
+    within int64 as it is (heaps are never negative in a game, so the
+    guard spends one range check on all of them rather than one each) and
+    raises TypeError for a non-integer.  One assignment per operator
+    instruction follows.  The
     source is built from the integer opcodes and slots of ``program.code``
     alone (``%d`` refuses anything else), so no gene text reaches `exec`."""
     reads = [(slot, x) for slot, (op, x, _) in enumerate(program.code) if op == _HEAP]
     lines = ["def run(h, n):"] + ["    v%d = h[%d]" % read for read in reads]
     if reads:
-        guard = " and ".join("type(v%d) is int and %d <= v%d < %d" % (slot, -_SIGN, slot, _SIGN) for slot, _ in reads)
-        lines.append("    if not (%s):" % guard)
+        types = " and ".join("type(v%d) is int" % slot for slot, _ in reads)
+        bits = " | ".join("v%d" % slot for slot, _ in reads)
+        lines.append("    if not (%s and 0 <= %s < %d):" % (types, bits, _SIGN))
         lines += ["        v%d = _wrap(_index(v%d))" % (slot, slot) for slot, _ in reads]
     for slot, (op, x, y) in enumerate(program.code):
         if op == _HEAP:
@@ -305,9 +308,11 @@ def evaluate(chrom: Chromosome, state, n: int | None = None) -> int:
     heap read that is not an integer.  The first call on a chromosome
     generates a Python function from its program (`_scalar_function`) and
     keeps it, with the program's largest heap reference, on the instance
-    outside the dataclass fields; every call runs it.  Its guard makes a
-    numpy heap-matrix row, or any tuple of integers, give the value of the
-    equivalent tuple of ints.
+    outside the dataclass fields, so a warm call reads one kept pair and
+    compares one integer before it runs the function.  The function's guard
+    makes a numpy heap-matrix row, or any tuple of integers, give the value
+    of the equivalent tuple of ints; heaps the program does not read are
+    not looked at.
     """
     heaps = tuple(state)
     if n is not None and n != len(heaps):
