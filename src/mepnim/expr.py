@@ -254,18 +254,18 @@ _SCALAR_BINARY = (
 def _scalar_function(program: Program):
     """`program` as a Python function of a heap tuple and the heap count.
 
-    Its source reads every heap the program reads first, plainly
-    (``vK = h[i]``), then guards them in one line: unless each value read
-    is exactly an int and their bitwise or lies in [0, 2^63), which holds
-    exactly when each value does, every one is replaced by
-    ``_wrap(operator.index(v))``.  That wraps a Python int outside int64,
-    turns a numpy integer or a bool into an int, leaves a negative int
-    within int64 as it is (heaps are never negative in a game, so the
-    guard spends one range check on all of them rather than one each) and
-    raises TypeError for a non-integer.  One assignment per operator
-    instruction follows.  The
-    source is built from the integer opcodes and slots of ``program.code``
-    alone (``%d`` refuses anything else), so no gene text reaches `exec`."""
+    Its source first reads each heap the program reads, plainly
+    (``vK = h[i]``), and guards the values in one line: each must be
+    exactly an int, and their bitwise or must lie in [0, 2^63), as it does
+    exactly when each value does.  Otherwise every value read is replaced
+    by ``_wrap(operator.index(v))``, which turns a numpy integer or a bool
+    into an int, wraps an int outside int64 and raises TypeError for a
+    non-integer; a negative int within int64 takes this branch too and
+    comes out unchanged (heaps are never negative in a game, so one range
+    check serves them all).  One assignment per operator instruction
+    follows.  The source is built from the integer opcodes and slots of
+    ``program.code`` alone (``%d`` refuses anything else), so no gene text
+    reaches `exec`."""
     reads = [(slot, x) for slot, (op, x, _) in enumerate(program.code) if op == _HEAP]
     lines = ["def run(h, n):"] + ["    v%d = h[%d]" % read for read in reads]
     if reads:

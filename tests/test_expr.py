@@ -204,7 +204,7 @@ class TestScalarGuard:
             assert self.outcome(evaluate, c, state) == expected, (c, state)
 
     def test_heaps_at_the_int64_boundaries(self):
-        for state in product(self.BOUNDARY + [0, 1], repeat=2):
+        for state in product(self.BOUNDARY + [-1, 0, 1], repeat=2):
             self.assert_reference(state)
 
     def test_bools_and_int_enums(self):
